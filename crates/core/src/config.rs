@@ -61,8 +61,13 @@ pub enum PivotStrategy {
 ///
 /// Applies to both the batch engine (pivot table built in parallel during
 /// `prepare`) and streaming sessions (pivot table grown incrementally per
-/// append). The triangle bound is lossless, so enabling it never changes
-/// results — only how many cells are evaluated exactly.
+/// append). The triangle bound is sound: a cell it settles never holds an
+/// edge. Under [`BoundMode::Exhaustive`] enabling it therefore never
+/// changes results — only how many cells are evaluated exactly. Under
+/// [`BoundMode::PaperJump`] it can: a settled cell jumps from the
+/// interval's upper end instead of the exact value, so the approximate
+/// Eq. 2 jump takes a different path and may land on (or skip) different
+/// edge windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HorizontalConfig {
     /// Number of pivot series.

@@ -588,7 +588,13 @@ impl StreamingDangoron {
     /// re-paying the prepare phase: this walks the full current history
     /// with the same pruned pair walker the batch engine uses, and the
     /// result is bit-identical to a fresh [`crate::Dangoron`] run over
-    /// the equivalent prefix (both pruning mechanisms are lossless).
+    /// the equivalent prefix — with the session's own config when
+    /// `(window, step)` is the session's geometry, and with that config
+    /// minus `horizontal` otherwise (see the pivot bullet below). Under
+    /// [`BoundMode::Exhaustive`] the two configs agree bit for bit, since
+    /// the triangle bound only settles cells that hold no edge; under
+    /// [`BoundMode::PaperJump`] pivots steer the jump path and can change
+    /// the edge set.
     ///
     /// What is reused from the resident state:
     ///
@@ -654,9 +660,9 @@ impl StreamingDangoron {
         };
         let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
         // The pivot table's intervals are keyed by the *session's* window
-        // geometry; reuse it only when the query matches. Skipping it for
-        // other geometries is safe — horizontal pruning is lossless, so
-        // the edges come out identical either way.
+        // geometry; reuse it only when the query matches. Other
+        // geometries walk without pivots: identical edges under
+        // Exhaustive, the `horizontal: None` answer under PaperJump.
         let pivots = if window == self.window && step == self.step {
             self.pivots.as_ref()
         } else {
@@ -790,9 +796,10 @@ mod tests {
 
     #[test]
     fn streaming_with_pivots_matches_batch_exhaustive() {
-        // Horizontal pruning is lossless: with pivots enabled the streamed
-        // windows must still be bit-identical to the exhaustive batch
-        // truth, while the triangle counter actually fires.
+        // Under Exhaustive, horizontal pruning never changes an edge: with
+        // pivots enabled the streamed windows must still be bit-identical
+        // to the exhaustive batch truth, while the triangle counter
+        // actually fires.
         let full = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
         let initial = full.slice_columns(0, 150).unwrap();
         let mut session = StreamingDangoron::new(
@@ -1084,6 +1091,95 @@ mod tests {
                 threshold: t,
             };
             let truth = engine.execute(&prefix, query).unwrap();
+            assert_bitwise(&shared.matrices, &truth.matrices);
+        }
+    }
+
+    #[test]
+    fn exhaustive_pivots_change_no_edge_in_batch_or_shared_queries() {
+        // The triangle bound only settles cells holding no edge, so under
+        // Exhaustive pivots on ≡ pivots off, bit for bit — for one-shot
+        // runs and for shared queries (including the session geometry,
+        // where the resident pivot table is used).
+        let full = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
+        let with = config_with_pivots(BoundMode::Exhaustive, 2);
+        let without = config(BoundMode::Exhaustive);
+        let mut session = StreamingDangoron::new(
+            full.slice_columns(0, 150).unwrap(),
+            80,
+            20,
+            0.9,
+            with.clone(),
+        )
+        .unwrap();
+        session.drain_completed().unwrap();
+        session
+            .append(&full.slice_columns(150, 400).unwrap())
+            .unwrap();
+        let mut pruned = 0;
+        for (w, s, t) in [(80, 20, 0.9), (80, 20, 0.7), (60, 20, 0.85), (100, 40, 0.5)] {
+            let query = SlidingQuery {
+                start: 0,
+                end: 400,
+                window: w,
+                step: s,
+                threshold: t,
+            };
+            let on = Dangoron::new(with.clone())
+                .unwrap()
+                .execute(&full, query)
+                .unwrap();
+            let off = Dangoron::new(without.clone())
+                .unwrap()
+                .execute(&full, query)
+                .unwrap();
+            assert_bitwise(&on.matrices, &off.matrices);
+            pruned += on.stats.pruned_by_triangle + on.stats.pairs_skipped_entirely;
+            let shared = session.query_shared(w, s, t).unwrap();
+            assert_bitwise(&shared.matrices, &off.matrices);
+        }
+        assert!(pruned > 0, "horizontal pruning never fired");
+    }
+
+    #[test]
+    fn jump_mode_shared_queries_use_pivots_only_on_the_session_geometry() {
+        // Under PaperJump pivots steer the jump path, so a shared query
+        // equals a one-shot run with the session's config on the
+        // session's own geometry, and with `horizontal: None` elsewhere.
+        let full = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
+        let jump = BoundMode::PaperJump { slack: 0.0 };
+        let with = config_with_pivots(jump, 2);
+        let without = config(jump);
+        let mut session = StreamingDangoron::new(
+            full.slice_columns(0, 150).unwrap(),
+            80,
+            20,
+            0.9,
+            with.clone(),
+        )
+        .unwrap();
+        session.drain_completed().unwrap();
+        session
+            .append(&full.slice_columns(150, 400).unwrap())
+            .unwrap();
+        for (w, s, t, cfg) in [
+            (80, 20, 0.9, &with),
+            (80, 20, 0.7, &with),
+            (60, 20, 0.85, &without),
+            (100, 40, 0.5, &without),
+        ] {
+            let query = SlidingQuery {
+                start: 0,
+                end: 400,
+                window: w,
+                step: s,
+                threshold: t,
+            };
+            let truth = Dangoron::new(cfg.clone())
+                .unwrap()
+                .execute(&full, query)
+                .unwrap();
+            let shared = session.query_shared(w, s, t).unwrap();
             assert_bitwise(&shared.matrices, &truth.matrices);
         }
     }

@@ -18,7 +18,7 @@
 use crate::expo;
 use crate::registry::{Registry, Snapshot};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,8 +91,8 @@ impl MetricsServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        // Non-blocking accept so the thread can observe `stop` promptly.
-        listener.set_nonblocking(true)?;
+        // Blocking accept: a scrape is picked up the moment it connects;
+        // `shutdown` wakes the acceptor with a loopback connect.
         let acceptor = std::thread::Builder::new()
             .name("obs-http".into())
             .spawn(move || accept_loop(listener, registries, extra, stop2))?;
@@ -111,8 +111,22 @@ impl MetricsServer {
     /// Stops the accept loop and joins it. In-flight responses finish on
     /// their own threads.
     pub fn shutdown(&mut self) {
+        let Some(h) = self.acceptor.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.acceptor.take() {
+        // Wake the blocked `accept`; it sees `stop` and returns. A
+        // wildcard bind is reachable on loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Join only once the wake-up is queued; an unreachable listener
+        // would block the join forever, so the acceptor is left detached.
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
             let _ = h.join();
         }
     }
@@ -131,8 +145,12 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
 ) {
     let live = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return; // `shutdown`'s wake-up connect (or a late scrape)
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // Wait-free slot claim: over-cap peers are told to retry
                 // rather than queued (a stuck scraper must not starve the
@@ -157,9 +175,7 @@ fn accept_loop(
                     live.fetch_sub(1, Ordering::AcqRel);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Out of descriptors or similar: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -429,6 +445,18 @@ mod tests {
         assert!(out.contains("ok"));
         let out = roundtrip(srv.addr(), b"GET /nope HTTP/1.1\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 404"));
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocked_acceptor_and_closes_the_listener() {
+        let mut srv = server();
+        let addr = srv.addr();
+        let t = Instant::now();
+        srv.shutdown();
+        assert!(t.elapsed() < Duration::from_secs(1));
+        // The joined acceptor dropped the listener: nothing accepts now.
+        assert!(TcpStream::connect(addr).is_err());
+        srv.shutdown(); // idempotent
     }
 
     #[test]

@@ -306,6 +306,15 @@ impl ServeClient {
         }
     }
 
+    /// One `Ping`/`Pong` round trip — a liveness probe that touches no
+    /// session, so its latency is the link's alone.
+    pub fn ping(&mut self, seq: u64) -> io::Result<()> {
+        match self.request(&ServeMessage::Ping(seq))? {
+            ServeMessage::Pong(got) if got == seq => Ok(()),
+            other => Err(unexpected("Pong", &other)),
+        }
+    }
+
     /// Drops a named session on the daemon.
     pub fn evict(&mut self, name: &str) -> io::Result<bool> {
         let reply = self.request(&ServeMessage::Evict {

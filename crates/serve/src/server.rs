@@ -22,6 +22,7 @@ use crate::proto::{self, ServeMessage};
 use crate::session::Session;
 use bytes::frame;
 use dist::proto::{Hello, CAP_SERVE, MAX_HELLO_FRAME, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use dist::transport::tune_link;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -415,6 +416,7 @@ fn dispatch(
 /// are length-delimited, so the stream stays in sync. On link end, every
 /// subscription owned by this connection is dropped.
 fn handle_link(stream: TcpStream, registry: &Registry, conn_id: u64) -> io::Result<()> {
+    tune_link(&stream)?;
     stream.set_read_timeout(Some(HANDSHAKE_PATIENCE))?;
     stream.set_write_timeout(Some(WRITE_PATIENCE))?;
     let mut reader = stream.try_clone()?;
@@ -580,6 +582,23 @@ mod tests {
         assert!(client.evict("t").unwrap());
         assert!(!client.evict("t").unwrap());
         assert!(client.query("t", 60, 20, 0.7).is_err());
+    }
+
+    #[test]
+    fn ping_round_trips_are_not_held_back_by_the_link() {
+        // A Ping touches no session, so its round trip is the link alone.
+        // A frame split across two writes on a Nagle socket stalls each
+        // direction behind the peer's delayed ACK (~40 ms); 64 such
+        // round trips would take ~5 s, against a few ms when every frame
+        // leaves in one write on a TCP_NODELAY link.
+        let addr = spawn_local(Arc::new(Registry::new(None)), None).unwrap();
+        let mut client = ServeClient::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
+        let t = std::time::Instant::now();
+        for seq in 0..64 {
+            client.ping(seq).unwrap();
+        }
+        let took = t.elapsed();
+        assert!(took < Duration::from_secs(1), "64 pings took {took:?}");
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl BufMut for Vec<u8> {
 /// reachable and the shim is swapped out, this module moves verbatim into
 /// `dist::proto` (see `crates/shims/README.md`).
 pub mod frame {
-    use std::io::{self, Read, Write};
+    use std::io::{self, IoSlice, Read, Write};
 
     /// Bytes of the length prefix.
     pub const HEADER_LEN: usize = 4;
@@ -125,6 +125,13 @@ pub mod frame {
     /// Writes one frame to `w` and flushes it. Fails fast (nothing
     /// written) when the payload exceeds [`MAX_PAYLOAD`] — wrapping the
     /// prefix would corrupt the stream mid-frame.
+    ///
+    /// The prefix and the payload leave in one vectored write (looping
+    /// only on a partial write), never as two back-to-back writes: on a
+    /// TCP link a lone 4-byte prefix write followed by the payload is the
+    /// write-write-read pattern that stalls the payload behind Nagle's
+    /// algorithm until the peer's delayed ACK (~40 ms). The payload is
+    /// never copied, so multi-megabyte frames cost no extra memcpy.
     pub fn write_to(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         if payload.len() > MAX_PAYLOAD {
             return Err(io::Error::new(
@@ -135,8 +142,22 @@ pub mod frame {
                 ),
             ));
         }
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(payload)?;
+        let header = (payload.len() as u32).to_le_bytes();
+        let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+        let mut pending: &mut [IoSlice<'_>] = &mut slices;
+        while !pending.is_empty() {
+            match w.write_vectored(pending) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "failed to write the whole frame",
+                    ))
+                }
+                Ok(n) => IoSlice::advance_slices(&mut pending, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 
@@ -239,6 +260,74 @@ mod tests {
             frame::read_from(&mut r, usize::MAX).unwrap().unwrap(),
             payload
         );
+    }
+
+    /// Records every `write_vectored` call; accepts at most `limit` bytes
+    /// per call (`usize::MAX` = everything offered).
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        flushes: usize,
+        limit: usize,
+    }
+
+    impl CountingWriter {
+        fn new(limit: usize) -> Self {
+            Self {
+                bytes: Vec::new(),
+                calls: 0,
+                flushes: 0,
+                limit,
+            }
+        }
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[std::io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for b in bufs {
+                let n = b.len().min(self.limit - taken);
+                self.bytes.extend_from_slice(&b[..n]);
+                taken += n;
+                if taken == self.limit {
+                    break;
+                }
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_leaves_in_one_write_when_the_writer_takes_it_all() {
+        for payload in [&b""[..], b"hello", &[7u8; 70_000]] {
+            let mut w = CountingWriter::new(usize::MAX);
+            frame::write_to(&mut w, payload).unwrap();
+            assert_eq!(w.calls, 1, "{}-byte payload", payload.len());
+            assert_eq!(w.flushes, 1);
+            assert_eq!(w.bytes, frame::encode(payload));
+        }
+    }
+
+    #[test]
+    fn frame_survives_one_byte_partial_writes() {
+        let big: Vec<u8> = (0..(1 << 20) + 777).map(|k| (k * 31) as u8).collect();
+        for payload in [&b""[..], b"abc", &big[..]] {
+            let mut w = CountingWriter::new(1);
+            frame::write_to(&mut w, payload).unwrap();
+            assert_eq!(w.bytes, frame::encode(payload));
+            assert_eq!(w.calls, frame::HEADER_LEN + payload.len());
+            assert_eq!(w.flushes, 1);
+        }
     }
 
     #[test]

@@ -157,13 +157,14 @@ fn streaming_engine_is_thread_count_invariant() {
 
 #[test]
 fn streaming_with_pivots_emits_exact_batch_truth() {
-    // Horizontal pruning is lossless, so a streaming session with pivots
-    // must emit *exactly* the exhaustive batch truth — bit-identical —
-    // for every append chunking, both edge rules, and every thread
-    // count. Within one chunking the cumulative pruning stats must be
-    // invariant in the thread count (across chunkings they legitimately
-    // differ: counters record per-drain pair encounters), and the
-    // triangle counters must actually fire on clustered data.
+    // Under Exhaustive, horizontal pruning never changes an edge, so a
+    // streaming session with pivots must emit *exactly* the exhaustive
+    // batch truth — bit-identical — for every append chunking, both
+    // edge rules, and every thread count. Within one chunking the
+    // cumulative pruning stats must be invariant in the thread count
+    // (across chunkings they legitimately differ: counters record
+    // per-drain pair encounters), and the triangle counters must
+    // actually fire on clustered data.
     use dangoron::config::HorizontalConfig;
     use dangoron::{PivotStrategy, PruningStats};
 
