@@ -100,50 +100,42 @@ impl Tsubasa {
 
     /// Pure query phase: per pair, per window, O(n_s) sketch combination.
     ///
-    /// Uses the same work-stealing executor and lock-free flat-buffer
-    /// merge as the Dangoron engine, so parallel speedup comparisons
+    /// Uses the same work-stealing executor and rank-ordered chunk
+    /// assembly as the Dangoron engine, so parallel speedup comparisons
     /// measure the algorithms, not the schedulers.
     pub fn run(&self, prep: &TsubasaPrepared) -> Vec<ThresholdedMatrix> {
         let q = &prep.query;
         let n_windows = q.n_windows();
         let n = prep.n;
 
-        let worker_out = exec::run_partitioned(
-            triangular::count(n),
-            self.threads,
-            8,
-            |_| Vec::<(u32, Edge)>::new(),
-            |buf, range| {
-                for p in range {
-                    let (i, j) = triangular::unrank(p, n);
-                    let pair = &prep.pairs[p];
-                    for w in 0..n_windows {
-                        let (ws, we) = q.window_range(w);
-                        let (b0, b1) = prep
-                            .layout
-                            .window_to_basic(ws, we)
-                            .expect("alignment checked in prepare");
-                        if let Some(r) = combine_tsubasa(&prep.store, pair, i, j, b0, b1) {
-                            if r >= q.threshold {
-                                buf.push((
-                                    w as u32,
-                                    Edge {
-                                        i: i as u32,
-                                        j: j as u32,
-                                        value: r,
-                                    },
-                                ));
-                            }
+        let chunks = exec::par_map_chunks(triangular::count(n), self.threads, 8, |range| {
+            let mut buf = Vec::new();
+            for p in range {
+                let (i, j) = triangular::unrank(p, n);
+                let pair = &prep.pairs[p];
+                for w in 0..n_windows {
+                    let (ws, we) = q.window_range(w);
+                    let (b0, b1) = prep
+                        .layout
+                        .window_to_basic(ws, we)
+                        .expect("alignment checked in prepare");
+                    if let Some(r) = combine_tsubasa(&prep.store, pair, i, j, b0, b1) {
+                        if r >= q.threshold {
+                            buf.push((
+                                w as u32,
+                                Edge {
+                                    i: i as u32,
+                                    j: j as u32,
+                                    value: r,
+                                },
+                            ));
                         }
                     }
                 }
-            },
-        );
-        let mut flat = Vec::new();
-        for buf in worker_out {
-            flat.extend(buf);
-        }
-        ThresholdedMatrix::assemble_windows(n, q.threshold, EdgeRule::Positive, n_windows, flat)
+            }
+            buf
+        });
+        ThresholdedMatrix::assemble_windows(n, q.threshold, EdgeRule::Positive, n_windows, &chunks)
     }
 }
 

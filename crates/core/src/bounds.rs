@@ -41,7 +41,11 @@ impl DepartureCost {
     /// Builds from per-basic-window correlations (`None` ⇒ undefined
     /// correlation, treated as 0 — a neutral value; see module docs).
     pub fn from_correlations(cs: impl Iterator<Item = Option<f64>>) -> Self {
-        let mut prefix = vec![0.0];
+        // Sized once: a doubling chain of reallocs per pair, run on every
+        // worker at once, made the prepare's cost stage swing up to 3x
+        // from one call to the next.
+        let mut prefix = Vec::with_capacity(cs.size_hint().0 + 1);
+        prefix.push(0.0);
         let mut acc = 0.0;
         for c in cs {
             acc += 1.0 - c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
@@ -53,7 +57,8 @@ impl DepartureCost {
     /// Builds the *lower-bound* cost prefix `Σ (1 + c_b)` — how fast the
     /// Eq. 2 lower bound can fall as those basic windows depart.
     pub fn from_correlations_lower(cs: impl Iterator<Item = Option<f64>>) -> Self {
-        let mut prefix = vec![0.0];
+        let mut prefix = Vec::with_capacity(cs.size_hint().0 + 1);
+        prefix.push(0.0);
         let mut acc = 0.0;
         for c in cs {
             acc += 1.0 + c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically

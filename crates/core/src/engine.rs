@@ -74,10 +74,63 @@ impl QueryResult {
 /// workloads.
 pub(crate) const WALK_GRAIN: usize = 8;
 
-/// A flat, windows-tagged edge emitted by one worker. The per-worker
-/// buffers are merged lock-free and assembled into matrices with a single
-/// sort-and-partition ([`ThresholdedMatrix::assemble_windows`]).
-type TaggedEdge = (u32, Edge);
+/// A window-tagged edge. Each stolen chunk of pair ranks collects its own
+/// buffer of these; [`walk_ranks`] assembles them into matrices.
+pub(crate) type TaggedEdge = (u32, Edge);
+
+/// Walks the pair ranks `ranks` of an `n`-series triangle on `threads`
+/// workers and assembles one matrix per window — the driver shared by the
+/// batch run, the streaming drain and shared queries.
+///
+/// `walk_one(i, j, buf, stats)` walks one pair, pushing its edges in
+/// ascending window order. Every stolen chunk gets its own buffer and
+/// counters, and [`exec::par_map_chunks`] returns them in rank order, so
+/// within each window the joined stream is already sorted by `(i, j)`:
+/// [`ThresholdedMatrix::assemble_windows`] scatters it without a sort, and
+/// the result is the same for every thread count.
+pub(crate) fn walk_ranks<F>(
+    ranks: Range<usize>,
+    n: usize,
+    threads: usize,
+    n_windows: usize,
+    threshold: f64,
+    rule: EdgeRule,
+    walk_one: F,
+) -> QueryResult
+where
+    F: Fn(usize, usize, &mut Vec<TaggedEdge>, &mut PruningStats) + Sync,
+{
+    let chunks = exec::par_map_chunks(ranks.len(), threads, WALK_GRAIN, |range| {
+        let mut buf = Vec::new();
+        let mut stats = PruningStats::default();
+        for local in range {
+            let (i, j) = triangular::unrank(ranks.start + local, n);
+            walk_one(i, j, &mut buf, &mut stats);
+        }
+        (buf, stats)
+    });
+    let mut stats = PruningStats::default();
+    let mut bufs = Vec::with_capacity(chunks.len());
+    for (buf, s) in chunks {
+        stats.merge(&s);
+        bufs.push(buf);
+    }
+    let matrices = ThresholdedMatrix::assemble_windows(n, threshold, rule, n_windows, &bufs);
+    QueryResult { matrices, stats }
+}
+
+/// Tags edge `(i, j) = value` with its (local) window.
+#[inline]
+pub(crate) fn tagged(window: usize, i: usize, j: usize, value: f64) -> TaggedEdge {
+    (
+        window as u32,
+        Edge {
+            i: i as u32,
+            j: j as u32,
+            value,
+        },
+    )
+}
 
 impl Dangoron {
     /// Creates an engine after validating the configuration.
@@ -212,11 +265,11 @@ impl Dangoron {
     ///
     /// Pairs are handed to workers by a work-stealing chunk scheduler
     /// (pruning makes per-pair cost wildly non-uniform, so static chunks
-    /// strand cores); every worker appends to a thread-local flat
-    /// `(window, Edge)` buffer, and the buffers are merged lock-free at
-    /// the end — no mutex anywhere on the query path. The merged buffer
-    /// becomes the per-window matrices via one sort-and-partition, which
-    /// also makes the result identical for every thread count.
+    /// strand cores); every stolen chunk appends to its own
+    /// `(window, Edge)` buffer — no mutex anywhere on the query path. The
+    /// buffers are joined in pair-rank order and scattered into the
+    /// per-window matrices in one linear pass, which also makes the result
+    /// identical for every thread count.
     ///
     /// ```
     /// use dangoron::{Dangoron, DangoronConfig};
@@ -246,9 +299,10 @@ impl Dangoron {
     /// `ranks` must lie inside the interval the preparation covers
     /// ([`Prepared::pair_range`]). Concatenating the edge buffers of a
     /// partition of the triangle reproduces the unsharded [`Dangoron::run`]
-    /// output bit-for-bit (the per-pair walk is independent, and the final
-    /// sort-and-partition is keyed uniquely per edge), and the per-shard
-    /// [`PruningStats`] sum to the unsharded counters.
+    /// output bit-for-bit (the per-pair walk is independent, and rank order
+    /// is `(i, j)` order, so the shards' edges join into the same per-window
+    /// lists), and the per-shard [`PruningStats`] sum to the unsharded
+    /// counters.
     ///
     /// # Panics
     /// Panics when `ranks` is not contained in the prepared interval.
@@ -262,36 +316,15 @@ impl Dangoron {
             prep.pair_range.end,
         );
         let _timer = obs::stages::span(obs::stages::Stage::Walk);
-        let n = prep.x.n_series();
-
-        let worker_out = exec::run_partitioned(
-            ranks.len(),
+        walk_ranks(
+            ranks,
+            prep.x.n_series(),
             self.config.threads,
-            WALK_GRAIN,
-            |_| (Vec::<TaggedEdge>::new(), PruningStats::default()),
-            |(buf, stats), range| {
-                for local in range {
-                    let (i, j) = triangular::unrank(ranks.start + local, n);
-                    self.walk_one_pair(prep, i, j, buf, stats);
-                }
-            },
-        );
-
-        let mut stats = PruningStats::default();
-        let total: usize = worker_out.iter().map(|(buf, _)| buf.len()).sum();
-        let mut flat: Vec<TaggedEdge> = Vec::with_capacity(total);
-        for (buf, s) in worker_out {
-            stats.merge(&s);
-            flat.extend(buf);
-        }
-        let matrices = ThresholdedMatrix::assemble_windows(
-            n,
+            prep.geo.n_windows,
             prep.query.threshold,
             self.config.edge_rule,
-            prep.geo.n_windows,
-            flat,
-        );
-        QueryResult { matrices, stats }
+            |i, j, buf, stats| self.walk_one_pair(prep, i, j, buf, stats),
+        )
     }
 
     /// Convenience: `prepare` + `run`.
@@ -304,7 +337,7 @@ impl Dangoron {
         Ok(self.run(&prep))
     }
 
-    /// Walks one pair, appending its edges to the worker's flat buffer.
+    /// Walks one pair, appending its edges to the chunk's buffer.
     fn walk_one_pair(
         &self,
         prep: &Prepared<'_>,
@@ -364,16 +397,7 @@ impl Dangoron {
             dep,
             prep.pivots.as_ref(),
             stats,
-            |w, v| {
-                buf.push((
-                    w as u32,
-                    Edge {
-                        i: i as u32,
-                        j: j as u32,
-                        value: v,
-                    },
-                ))
-            },
+            |w, v| buf.push(tagged(w, i, j, v)),
         );
     }
 }
@@ -837,7 +861,7 @@ mod tests {
                     q.threshold,
                     engine.config().edge_rule,
                     q.n_windows(),
-                    flat,
+                    &[flat],
                 );
                 assert_eq!(merged.len(), full.matrices.len());
                 for (a, b) in merged.iter().zip(&full.matrices) {
@@ -919,23 +943,57 @@ mod tests {
     }
 
     #[test]
-    fn assemble_windows_partitions_and_sorts() {
-        let e = |i: u32, j: u32, v: f64| Edge { i, j, value: v };
-        // Deliberately unordered, as if produced by racing workers.
-        let flat = vec![
-            (2u32, e(1, 3, 0.9)),
-            (0, e(2, 4, 0.8)),
-            (2, e(0, 1, 0.95)),
-            (0, e(0, 1, 0.85)),
-        ];
-        let ms = ThresholdedMatrix::assemble_windows(5, 0.7, EdgeRule::Positive, 4, flat);
-        assert_eq!(ms.len(), 4);
-        assert_eq!(ms[0].n_edges(), 2);
-        assert_eq!(ms[0].get(0, 1), 0.85);
-        assert_eq!(ms[0].get(2, 4), 0.8);
-        assert_eq!(ms[1].n_edges(), 0);
-        assert_eq!(ms[2].n_edges(), 2);
-        assert_eq!(ms[2].get(0, 1), 0.95);
-        assert_eq!(ms[3].n_edges(), 0);
+    fn assemble_windows_joins_chunk_buffers_in_rank_order() {
+        // A 6-series triangle over 5 windows. Every pair emits in ascending
+        // window order, as `walk_pair` does, into windows 0 and 2 only, so
+        // window 1 and the trailing windows 3 and 4 stay empty.
+        let (n, n_windows) = (6, 5);
+        let n_pairs = triangular::count(n);
+        let emitted = |rank: usize| -> Vec<TaggedEdge> {
+            let (i, j) = triangular::unrank(rank, n);
+            [0, 2]
+                .into_iter()
+                .filter(|w| !(rank + w).is_multiple_of(3))
+                .map(|w| tagged(w, i, j, 0.5 + rank as f64 / 64.0 + w as f64 / 1024.0))
+                .collect()
+        };
+        let mut want: Vec<ThresholdedMatrix> = (0..n_windows)
+            .map(|_| ThresholdedMatrix::new(n, 0.5))
+            .collect();
+        for rank in (0..n_pairs).rev() {
+            for (w, e) in emitted(rank) {
+                want[w as usize].push(e.i as usize, e.j as usize, e.value);
+            }
+        }
+        want.iter_mut().for_each(ThresholdedMatrix::finalize);
+
+        // Uneven stolen chunks, handed over as two workers interleave them
+        // and in fully reversed order; the join must restore rank order.
+        let cuts = [0, 4, 5, 9, 14, n_pairs];
+        let chunk = |k: usize| {
+            let buf: Vec<TaggedEdge> = (cuts[k]..cuts[k + 1]).flat_map(emitted).collect();
+            (cuts[k], buf)
+        };
+        let n_chunks = cuts.len() - 1;
+        let interleaved = (0..n_chunks).step_by(2).chain((1..n_chunks).step_by(2));
+        let reversed = (0..n_chunks).rev();
+        for arrival in [
+            interleaved.map(chunk).collect::<Vec<_>>(),
+            reversed.map(chunk).collect(),
+        ] {
+            let bufs = exec::join_chunks(arrival);
+            let got =
+                ThresholdedMatrix::assemble_windows(n, 0.5, EdgeRule::Positive, n_windows, &bufs);
+            assert_eq!(got.len(), n_windows);
+            for (w, (g, t)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.n_edges(), t.n_edges(), "window {w}");
+                for (eg, et) in g.edges().iter().zip(t.edges()) {
+                    assert_eq!((eg.i, eg.j), (et.i, et.j), "window {w}");
+                    assert_eq!(eg.value.to_bits(), et.value.to_bits(), "window {w}");
+                }
+            }
+            assert!(got[0].n_edges() > 0 && got[2].n_edges() > 0);
+            assert!([1, 3, 4].iter().all(|&w| got[w].n_edges() == 0));
+        }
     }
 }

@@ -30,10 +30,10 @@
 
 use crate::bounds::PairCosts;
 use crate::config::{BoundMode, DangoronConfig};
+use crate::engine::{tagged, walk_ranks};
 use crate::pivot::{select_pivots, PivotSet};
 use crate::stats::PruningStats;
 use crate::walker::{extend_pair_costs, pair_costs, walk_pair, WalkGeometry};
-use sketch::output::Edge;
 use sketch::{
     combine, pair, triangular, BasicWindowLayout, PairSketch, SketchStore, SlidingQuery,
     ThresholdedMatrix,
@@ -447,71 +447,50 @@ impl StreamingDangoron {
         let rule = self.config.edge_rule;
         let pivots = self.pivots.as_ref();
 
-        // Same executor as the batch engine: workers steal pair chunks,
-        // accumulate flat (window, edge) buffers, merged lock-free and
-        // assembled with one sort-and-partition.
-        let n_pairs = self.pairs.len();
-        let base = self.pair_range.start;
-        let worker_out = exec::run_partitioned(
-            n_pairs,
+        // Same driver as the batch engine: one edge buffer per stolen
+        // chunk of pair ranks, joined in rank order and scattered into the
+        // per-window matrices without a sort.
+        let result = walk_ranks(
+            self.pair_range.clone(),
+            n,
             self.config.threads,
-            crate::engine::WALK_GRAIN,
-            |_| (Vec::<(u32, Edge)>::new(), PruningStats::default()),
-            |(buf, stats), range| {
-                for p in range {
-                    let (i, j) = triangular::unrank(base + p, n);
-                    // Pair-level wholesale prefilter: when no new window of
-                    // this pair can produce an edge, skip its walk entirely.
-                    if let Some(pv) = pivots {
-                        if pv.pair_never_edges_in(i, j, beta, rule, first_new, total) {
-                            stats.n_pairs += 1;
-                            stats.total_cells += n_new as u64;
-                            stats.pairs_skipped_entirely += 1;
-                            continue;
-                        }
+            n_new,
+            beta,
+            rule,
+            |i, j, buf, stats| {
+                // Pair-level wholesale prefilter: when no new window of
+                // this pair can produce an edge, skip its walk entirely.
+                if let Some(pv) = pivots {
+                    if pv.pair_never_edges_in(i, j, beta, rule, first_new, total) {
+                        stats.n_pairs += 1;
+                        stats.total_cells += n_new as u64;
+                        stats.pairs_skipped_entirely += 1;
+                        return;
                     }
-                    let pair = &self.pairs[p];
-                    let dep = need_dep.then(|| &self.deps[p]);
-                    walk_pair(
-                        &self.store,
-                        pair,
-                        i,
-                        j,
-                        geo,
-                        beta,
-                        rule,
-                        self.config.bound,
-                        dep,
-                        pivots,
-                        stats,
-                        |w, v| {
-                            buf.push((
-                                w as u32,
-                                Edge {
-                                    i: i as u32,
-                                    j: j as u32,
-                                    value: v,
-                                },
-                            ))
-                        },
-                    );
                 }
+                let p = triangular::rank(i, j, n) - self.pair_range.start;
+                let dep = need_dep.then(|| &self.deps[p]);
+                walk_pair(
+                    &self.store,
+                    &self.pairs[p],
+                    i,
+                    j,
+                    geo,
+                    beta,
+                    rule,
+                    self.config.bound,
+                    dep,
+                    pivots,
+                    stats,
+                    |w, v| buf.push(tagged(w, i, j, v)),
+                );
             },
         );
-        // Merge the per-worker counters (previously discarded) exactly
-        // like the batch engine does, keeping both the per-drain view and
-        // the session-cumulative one.
-        let mut drain_stats = PruningStats::default();
-        let total_edges: usize = worker_out.iter().map(|(buf, _)| buf.len()).sum();
-        let mut flat = Vec::with_capacity(total_edges);
-        for (buf, s) in worker_out {
-            drain_stats.merge(&s);
-            flat.extend(buf);
-        }
-        self.stats.merge(&drain_stats);
-        self.last_drain_stats = drain_stats;
-        let matrices = ThresholdedMatrix::assemble_windows(n, self.threshold, rule, n_new, flat);
-        let out = matrices
+        // Keep both the per-drain view and the session-cumulative one.
+        self.stats.merge(&result.stats);
+        self.last_drain_stats = result.stats;
+        let out = result
+            .matrices
             .into_iter()
             .enumerate()
             .map(|(k, matrix)| CompletedWindow {
@@ -669,60 +648,40 @@ impl StreamingDangoron {
             None
         };
 
-        let n_pairs = self.pairs.len();
-        let worker_out = exec::run_partitioned(
-            n_pairs,
+        Ok(walk_ranks(
+            self.pair_range.clone(),
+            n,
             self.config.threads,
-            crate::engine::WALK_GRAIN,
-            |_| (Vec::<(u32, Edge)>::new(), PruningStats::default()),
-            |(buf, stats), range| {
-                for p in range {
-                    let (i, j) = triangular::unrank(p, n);
-                    if let Some(pv) = pivots {
-                        if pv.pair_never_edges_in(i, j, threshold, rule, 0, n_windows) {
-                            stats.n_pairs += 1;
-                            stats.total_cells += n_windows as u64;
-                            stats.pairs_skipped_entirely += 1;
-                            continue;
-                        }
+            n_windows,
+            threshold,
+            rule,
+            |i, j, buf, stats| {
+                if let Some(pv) = pivots {
+                    if pv.pair_never_edges_in(i, j, threshold, rule, 0, n_windows) {
+                        stats.n_pairs += 1;
+                        stats.total_cells += n_windows as u64;
+                        stats.pairs_skipped_entirely += 1;
+                        return;
                     }
-                    let pair = &self.pairs[p];
-                    let dep = need_dep.then(|| &self.deps[p]);
-                    walk_pair(
-                        &self.store,
-                        pair,
-                        i,
-                        j,
-                        geo,
-                        threshold,
-                        rule,
-                        self.config.bound,
-                        dep,
-                        pivots,
-                        stats,
-                        |w, v| {
-                            buf.push((
-                                w as u32,
-                                Edge {
-                                    i: i as u32,
-                                    j: j as u32,
-                                    value: v,
-                                },
-                            ))
-                        },
-                    );
                 }
+                let p = triangular::rank(i, j, n);
+                let dep = need_dep.then(|| &self.deps[p]);
+                walk_pair(
+                    &self.store,
+                    &self.pairs[p],
+                    i,
+                    j,
+                    geo,
+                    threshold,
+                    rule,
+                    self.config.bound,
+                    dep,
+                    pivots,
+                    stats,
+                    |w, v| buf.push(tagged(w, i, j, v)),
+                );
             },
-        );
-        let mut stats = PruningStats::default();
-        let total_edges: usize = worker_out.iter().map(|(buf, _)| buf.len()).sum();
-        let mut flat = Vec::with_capacity(total_edges);
-        for (buf, s) in worker_out {
-            stats.merge(&s);
-            flat.extend(buf);
-        }
-        let matrices = ThresholdedMatrix::assemble_windows(n, threshold, rule, n_windows, flat);
-        Ok(crate::engine::QueryResult { matrices, stats })
+        ))
     }
 }
 
@@ -957,7 +916,7 @@ mod tests {
             }
             assert_eq!(n_windows, whole.len(), "cuts {cuts:?}");
             let merged =
-                ThresholdedMatrix::assemble_windows(9, 0.85, cfg.edge_rule, whole.len(), flat);
+                ThresholdedMatrix::assemble_windows(9, 0.85, cfg.edge_rule, whole.len(), &[flat]);
             for (m, cw) in merged.iter().zip(&whole) {
                 assert_eq!(m.n_edges(), cw.matrix.n_edges(), "window {}", cw.index);
                 for (ea, eb) in m.edges().iter().zip(cw.matrix.edges()) {

@@ -600,6 +600,7 @@ fn run_inner(
     query: SlidingQuery,
 ) -> Result<DistResult, CoordError> {
     let t_start = Instant::now();
+    let n_windows = expected_windows(cfg.mode, engine_cfg, data.len(), &query);
     let plan = ShardPlan::balanced(data.n_series(), cfg.n_shards);
     if plan.shards().is_empty() {
         return Err(CoordError::Internal(
@@ -1019,6 +1020,17 @@ fn run_inner(
                                 let Some(o) = busy.remove(&w) else {
                                     continue;
                                 };
+                                // Edges arrive sorted (checked at decode),
+                                // so the last one carries the largest window.
+                                if let Some(&(win, _)) = res
+                                    .edges
+                                    .last()
+                                    .filter(|(win, _)| *win as usize >= n_windows)
+                                {
+                                    eprintln!("dist: worker {w} sent window {win} of {n_windows}");
+                                    replan(o.shard, live(&workers), &mut pending, &metrics)?;
+                                    continue;
+                                }
                                 stats.merge(&res.stats);
                                 summaries.push(ShardSummary {
                                     ranks: res.ranks.clone(),
@@ -1159,7 +1171,6 @@ fn run_inner(
         h.shutdown();
     }
 
-    let n_windows = expected_windows(cfg.mode, engine_cfg, data.len(), &query);
     let matrices = merge_shard_edges(
         data.n_series(),
         query.threshold,

@@ -4,11 +4,12 @@
 //! The merge exploits a structural fact: [`sketch::triangular`] rank order
 //! **is** lexicographic `(i, j)` order, so for disjoint contiguous rank
 //! shards the edges of one window, taken shard-by-shard in rank order, are
-//! already globally sorted by `(i, j)`. The merge is therefore a pure
-//! concatenation per window followed by
-//! [`ThresholdedMatrix::from_sorted_edges`] — no comparison sort, no
-//! tolerance, and bit-identical output to the single-process engine for
-//! any shard count (including re-planned, finer-than-planned partitions).
+//! already globally sorted by `(i, j)`. The merge therefore hands the
+//! buffers in rank order to [`ThresholdedMatrix::assemble_windows`] — the
+//! same linear scatter the engine uses for its own chunks: no comparison
+//! sort, no tolerance, and bit-identical output to the single-process
+//! engine for any shard count (including re-planned, finer-than-planned
+//! partitions).
 
 use sketch::output::{Edge, EdgeRule};
 use sketch::ThresholdedMatrix;
@@ -41,35 +42,8 @@ pub fn merge_shard_edges(
             w[1].0
         );
     }
-    // Per shard, the half-open positions of each window's slice in its
-    // buffer (the buffer is window-major).
-    let bounds: Vec<Vec<usize>> = shards
-        .iter()
-        .map(|(_, buf)| {
-            let mut b = Vec::with_capacity(n_windows + 1);
-            let mut pos = 0;
-            b.push(0);
-            for w in 0..n_windows as u32 {
-                while pos < buf.len() && buf[pos].0 == w {
-                    pos += 1;
-                }
-                b.push(pos);
-            }
-            debug_assert_eq!(pos, buf.len(), "edge tagged with out-of-range window");
-            b
-        })
-        .collect();
-
-    (0..n_windows)
-        .map(|w| {
-            let total: usize = bounds.iter().map(|b| b[w + 1] - b[w]).sum();
-            let mut edges = Vec::with_capacity(total);
-            for ((_, buf), b) in shards.iter().zip(&bounds) {
-                edges.extend(buf[b[w]..b[w + 1]].iter().map(|&(_, e)| e));
-            }
-            ThresholdedMatrix::from_sorted_edges(n_series, beta, rule, edges)
-        })
-        .collect()
+    let bufs: Vec<&[(u32, Edge)]> = shards.iter().map(|(_, buf)| buf.as_slice()).collect();
+    ThresholdedMatrix::assemble_windows(n_series, beta, rule, n_windows, &bufs)
 }
 
 /// Flattens an engine result's per-window matrices back into the sorted

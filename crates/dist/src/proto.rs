@@ -400,20 +400,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, String> {
             let prepare_s = take_f64(&mut buf, "prepare_s")?;
             let query_s = take_f64(&mut buf, "query_s")?;
             let stats = decode_stats(&mut buf)?;
-            let n_edges = take_u64(&mut buf, "n_edges")? as usize;
-            need(
-                &buf,
-                n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
-                "edges",
-            )?;
-            let mut edges = Vec::with_capacity(n_edges);
-            for _ in 0..n_edges {
-                let w = buf.get_u32_le();
-                let i = buf.get_u32_le();
-                let j = buf.get_u32_le();
-                let value = buf.get_f64_le();
-                edges.push((w, Edge { i, j, value }));
-            }
+            let edges = take_edges(&mut buf)?;
             Message::Result(ShardResult {
                 shard_id,
                 ranks: start..end,
@@ -581,6 +568,35 @@ fn decode_stats(buf: &mut &[u8]) -> Result<PruningStats, String> {
     let hist_len = take_u64(buf, "hist length")? as usize;
     s.jump_length_hist = take_u64s(buf, hist_len, "hist")?;
     Ok(s)
+}
+
+/// Reads a `(window, edge)` list: a `u64` count, then `(w, i, j, value)`
+/// records. The list must be strictly increasing in `(window, i, j)` with
+/// `i < j` — the order `ThresholdedMatrix::assemble_windows` relies on —
+/// so a damaged or hostile list is refused here instead of reaching it.
+pub fn take_edges(buf: &mut &[u8]) -> Result<Vec<(u32, Edge)>, String> {
+    let n_edges = take_u64(buf, "n_edges")? as usize;
+    need(
+        buf,
+        n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
+        "edges",
+    )?;
+    let mut edges = Vec::with_capacity(n_edges);
+    let mut last = None;
+    for _ in 0..n_edges {
+        let w = buf.get_u32_le();
+        let i = buf.get_u32_le();
+        let j = buf.get_u32_le();
+        let value = buf.get_f64_le();
+        if i >= j || last >= Some((w, i, j)) {
+            return Err(format!(
+                "edge ({i}, {j}) of window {w} breaks the (window, i, j) order"
+            ));
+        }
+        last = Some((w, i, j));
+        edges.push((w, Edge { i, j, value }));
+    }
+    Ok(edges)
 }
 
 pub fn need(buf: &&[u8], n: usize, what: &str) -> Result<(), String> {

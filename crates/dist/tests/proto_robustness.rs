@@ -195,6 +195,35 @@ fn every_truncation_of_every_frame_type_is_rejected() {
     }
 }
 
+#[test]
+fn result_edges_out_of_window_i_j_order_are_rejected() {
+    // The coordinator's merge relies on (window, i, j) order, so decode
+    // refuses a Result that breaks it: a repeat, a step back, or i ≥ j.
+    let e = |w, i, j| (w, Edge { i, j, value: 0.5 });
+    let result = |edges| {
+        Message::Result(ShardResult {
+            shard_id: 1,
+            ranks: 0..10,
+            prepare_s: 0.1,
+            query_s: 0.2,
+            stats: PruningStats::default(),
+            edges,
+        })
+    };
+    let sorted = vec![e(0, 0, 4), e(0, 1, 2), e(2, 0, 1)];
+    assert!(proto::decode(&proto::encode(&result(sorted))).is_ok());
+    for bad in [
+        vec![e(0, 1, 2), e(0, 1, 2)],
+        vec![e(0, 1, 2), e(0, 0, 4)],
+        vec![e(2, 0, 1), e(0, 1, 2)],
+        vec![e(0, 2, 2)],
+        vec![e(0, 3, 1)],
+    ] {
+        let err = proto::decode(&proto::encode(&result(bad.clone())));
+        assert!(err.is_err(), "{bad:?} accepted");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -157,6 +157,64 @@ fn hostile_peer_is_rejected_without_costing_the_run_or_a_worker_slot() {
 }
 
 #[test]
+fn result_tagged_beyond_the_last_window_is_replanned_not_merged() {
+    // A well-formed Result whose edge names a window the query does not
+    // have must never reach the merge: each one is re-planned, and a peer
+    // that keeps sending them exhausts the shard's attempts — an error,
+    // not a coordinator panic.
+    use dist::proto::{Hello, Message, ShardResult};
+    use sketch::output::Edge;
+    let (data, query, cfg) = workload();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let mut link = std::net::TcpStream::connect(addr).unwrap();
+        link.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let send = |link: &mut std::net::TcpStream, msg: &Message| {
+            bytes::frame::write_to(link, &dist::proto::encode(msg))
+        };
+        send(&mut link, &Message::Hello(Hello::local())).unwrap();
+        while let Ok(Some(frame)) = bytes::frame::read_from(&mut link, usize::MAX) {
+            let reply = match dist::proto::decode(&frame) {
+                Ok(Message::Assign(a)) => Message::Result(ShardResult {
+                    shard_id: a.shard_id,
+                    ranks: a.ranks,
+                    prepare_s: 0.0,
+                    query_s: 0.0,
+                    stats: Default::default(),
+                    edges: vec![(
+                        query.n_windows() as u32,
+                        Edge {
+                            i: 0,
+                            j: 1,
+                            value: 0.9,
+                        },
+                    )],
+                }),
+                Ok(Message::Ping(seq)) => Message::Pong(seq),
+                Err(_) => break,
+                Ok(_) => continue,
+            };
+            if send(&mut link, &reply).is_err() {
+                break;
+            }
+        }
+    });
+    let ccfg = CoordinatorConfig {
+        max_attempts: 2,
+        ..coordinator(1, 1, WorkerMode::Batch)
+    };
+    let got = coord::run_with_listener(&ccfg, listener, &cfg, &data, query);
+    peer.join().unwrap();
+    assert!(
+        matches!(got, Err(coord::CoordError::AttemptsExhausted { .. })),
+        "{:?}",
+        got.map(|r| r.matrices.len())
+    );
+}
+
+#[test]
 fn killed_tcp_worker_is_replanned_onto_survivors_with_identical_result() {
     let (data, query, cfg) = workload();
     let single = coord::run_single_process(WorkerMode::Batch, &cfg, &data, query).unwrap();

@@ -14,14 +14,15 @@
 //! * **No locks anywhere.** Workers own their local state; results are
 //!   handed back through the scoped-join, never through a mutex.
 //! * **Determinism is the caller's to keep, and easy to keep:** items are
-//!   processed exactly once, per-worker results carry their item ranges,
-//!   and the ordered collectors ([`par_collect_chunks`]) reassemble output
-//!   in item order regardless of which worker ran what.
+//!   processed exactly once, per-chunk results carry their item ranges,
+//!   and the ordered collectors ([`par_map_chunks`], [`par_collect_chunks`])
+//!   reassemble output in item order regardless of which worker ran what.
 //! * **`threads == 1` never spawns.** The single-threaded path runs inline
 //!   so sequential benchmarks measure the algorithm, not the scheduler.
 //!
-//! Three entry points cover the workspace's needs: [`run_partitioned`]
-//! (per-worker fold states, the query walk), [`par_collect_chunks`]
+//! Four entry points cover the workspace's needs: [`run_partitioned`]
+//! (per-worker fold states), [`par_map_chunks`] (one result per stolen
+//! chunk, in item order — the query walks), [`par_collect_chunks`]
 //! (ordered map-collect, the sketch builders), and [`par_chunks_mut`]
 //! (static disjoint splits of a mutable slice, uniform-cost updates).
 //!
@@ -93,9 +94,9 @@ fn steal(
 /// per-worker states (in worker order — callers must not depend on which
 /// worker processed which items; use the ranges passed to `body` instead).
 ///
-/// The workhorse of the query engines: workers steal pair-index chunks and
-/// append edges to a thread-local buffer; the caller merges buffers
-/// lock-free afterwards.
+/// The scheduler under every other entry point: workers steal index
+/// chunks and fold them into thread-local state, merged lock-free by the
+/// caller after the join.
 pub fn run_partitioned<S, I, F>(
     n_items: usize,
     threads: usize,
@@ -153,6 +154,37 @@ where
     })
 }
 
+/// Map every stolen chunk of `0..n_items` to one `R` and return the
+/// results in item order — one `R` per chunk, sorted by the chunk's first
+/// item, no matter which worker ran which chunk.
+///
+/// This is the ordered fold behind every query walk: each chunk keeps its
+/// own output buffer, so joining the buffers in this order reproduces the
+/// sequential item order exactly, and nothing downstream needs to sort.
+pub fn par_map_chunks<R, F>(n_items: usize, threads: usize, min_grain: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let per_worker = run_partitioned(
+        n_items,
+        threads,
+        min_grain,
+        |_| Vec::new(),
+        |acc: &mut Vec<(usize, R)>, range| acc.push((range.start, f(range))),
+    );
+    join_chunks(per_worker.into_iter().flatten())
+}
+
+/// Puts per-chunk results keyed by their chunk's first item back into item
+/// order. Keys are unique (chunks are disjoint), so the order is total and
+/// independent of the order the pieces arrive in.
+pub fn join_chunks<R>(pieces: impl IntoIterator<Item = (usize, R)>) -> Vec<R> {
+    let mut pieces: Vec<(usize, R)> = pieces.into_iter().collect();
+    pieces.sort_unstable_by_key(|(start, _)| *start);
+    pieces.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Map every index chunk of `0..n_items` to a `Vec<R>` (one `R` per item,
 /// in item order within the chunk) and reassemble the full `Vec<R>` in item
 /// order. Work distribution is stolen chunks, output order is
@@ -171,24 +203,8 @@ where
         debug_assert_eq!(out.len(), n_items);
         return out;
     }
-    let mut pieces: Vec<(usize, Vec<R>)> = run_partitioned(
-        n_items,
-        threads,
-        min_grain,
-        |_| Vec::new(),
-        |acc: &mut Vec<(usize, Vec<R>)>, range| {
-            let start = range.start;
-            let piece = f(range);
-            acc.push((start, piece));
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
-    pieces.sort_unstable_by_key(|(start, _)| *start);
     let mut out = Vec::with_capacity(n_items);
-    for (start, piece) in pieces {
-        debug_assert_eq!(out.len(), start);
+    for piece in par_map_chunks(n_items, threads, min_grain, f) {
         out.extend(piece);
     }
     debug_assert_eq!(out.len(), n_items);
@@ -268,6 +284,29 @@ mod tests {
                 assert_eq!(*v, i * i, "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn map_chunks_returns_chunks_in_item_order() {
+        for threads in [1, 2, 3, 8] {
+            let chunks = par_map_chunks(257, threads, 4, |range| range);
+            assert_eq!(
+                chunks.first().map(|r| r.start),
+                Some(0),
+                "threads={threads}"
+            );
+            assert_eq!(chunks.last().map(|r| r.end), Some(257), "threads={threads}");
+            for pair in chunks.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "threads={threads}");
+            }
+        }
+        assert!(par_map_chunks(0, 4, 1, |range| range).is_empty());
+    }
+
+    #[test]
+    fn join_chunks_ignores_arrival_order() {
+        let pieces = [(4, 'c'), (0, 'a'), (9, 'd'), (2, 'b')];
+        assert_eq!(join_chunks(pieces), vec!['a', 'b', 'c', 'd']);
     }
 
     #[test]

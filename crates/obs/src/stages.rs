@@ -23,7 +23,8 @@ pub enum Stage {
     Walk,
     /// Streaming window drain (`core::streaming`).
     Drain,
-    /// Sorted-edge merge into the output sketch (`sketch::output`).
+    /// Assembly of one result's per-window matrices from its rank-ordered
+    /// edge buffers (`sketch::output`).
     Merge,
 }
 
@@ -45,7 +46,7 @@ impl Stage {
             Stage::PivotBuild => "Wall time of pivot-table builds, microseconds",
             Stage::Walk => "Wall time of correlation walks, microseconds",
             Stage::Drain => "Wall time of streaming window drains, microseconds",
-            Stage::Merge => "Wall time of sorted-edge merges, microseconds",
+            Stage::Merge => "Wall time of assembling one result's window matrices, microseconds",
         }
     }
 }

@@ -71,7 +71,7 @@ impl QueryReply {
             threshold,
             rule,
             self.n_windows,
-            self.edges.clone(),
+            std::slice::from_ref(&self.edges),
         )
     }
 }

@@ -401,19 +401,9 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
             let id = proto::take_u64(&mut buf, "query id")?;
             let covered_cols = proto::take_u64(&mut buf, "covered_cols")?;
             let n_windows = proto::take_u64(&mut buf, "n_windows")?;
-            let n_edges = proto::take_u64(&mut buf, "n_edges")? as usize;
-            proto::need(
-                &buf,
-                n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
-                "edges",
-            )?;
-            let mut edges = Vec::with_capacity(n_edges);
-            for _ in 0..n_edges {
-                let w = buf.get_u32_le();
-                let i = buf.get_u32_le();
-                let j = buf.get_u32_le();
-                let value = buf.get_f64_le();
-                edges.push((w, Edge { i, j, value }));
+            let edges = proto::take_edges(&mut buf)?;
+            if let Some(&(w, _)) = edges.last().filter(|(w, _)| u64::from(*w) >= n_windows) {
+                return Err(format!("edge tagged with window {w} of {n_windows}"));
             }
             ServeMessage::QueryResult {
                 id,
@@ -607,6 +597,14 @@ mod tests {
             }
             other => panic!("wrong message: {other:?}"),
         }
+        // sample_edges() tags window 2, so a 2-window answer is damaged.
+        let short = ServeMessage::QueryResult {
+            id: 3,
+            covered_cols: 400,
+            n_windows: 2,
+            edges: sample_edges(),
+        };
+        assert!(decode(&encode(&short)).is_err());
         let msg = ServeMessage::Delta {
             id: 9,
             window: 12,

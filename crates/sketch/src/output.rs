@@ -73,14 +73,12 @@ impl ThresholdedMatrix {
     }
 
     /// Builds a matrix directly from an already-sorted, already-filtered
-    /// edge list — the fast path for engines that assemble all windows
-    /// with one sort-and-partition over a flat edge buffer instead of
-    /// per-window pushes.
+    /// edge list — the fast path engines use (through
+    /// [`ThresholdedMatrix::assemble_windows`]) instead of per-edge pushes.
     ///
     /// Every entry must satisfy `i < j < n`, pass `rule` at `beta`, and
     /// the list must be sorted by `(i, j)` (all checked in debug builds).
     pub fn from_sorted_edges(n: usize, beta: f64, rule: EdgeRule, entries: Vec<Edge>) -> Self {
-        let _timer = obs::stages::span(obs::stages::Stage::Merge);
         #[cfg(debug_assertions)]
         {
             for pair in entries.windows(2) {
@@ -108,34 +106,45 @@ impl ThresholdedMatrix {
         self.rule
     }
 
-    /// Assembles one finalized matrix per window from a flat, window-tagged
-    /// edge buffer, with a single sort-and-partition.
+    /// Assembles one finalized matrix per window from window-tagged edge
+    /// chunks, with one stable linear scatter and no comparison sort.
     ///
-    /// This is the merge step shared by every parallel engine: workers
-    /// append `(window, Edge)` records to thread-local buffers, the caller
-    /// concatenates them lock-free, and this sorts once by `(window, i, j)`
-    /// — a key unique per edge, so worker scheduling cannot affect the
-    /// output — then slices out each window.
-    pub fn assemble_windows(
+    /// This is the merge step shared by every engine. Read in order, the
+    /// chunks form one stream; within each window that stream must list
+    /// edges in strictly increasing `(i, j)` (checked in debug builds).
+    /// Engines meet this by walking pair ranks — which *are* lexicographic
+    /// `(i, j)` order — in one buffer per stolen chunk and handing the
+    /// buffers over in rank order; a `(window, i, j)`-sorted wire buffer
+    /// meets it too. The scatter counts each window's edges, sizes its list
+    /// exactly, then copies edges in stream order, so the result does not
+    /// depend on how the stream was cut into chunks.
+    ///
+    /// # Panics
+    /// Panics when an edge is tagged with a window `≥ n_windows`.
+    pub fn assemble_windows<B: AsRef<[(u32, Edge)]>>(
         n: usize,
         beta: f64,
         rule: EdgeRule,
         n_windows: usize,
-        mut flat: Vec<(u32, Edge)>,
+        chunks: &[B],
     ) -> Vec<ThresholdedMatrix> {
-        flat.sort_unstable_by_key(|(w, e)| (*w, e.i, e.j));
-        let mut out = Vec::with_capacity(n_windows);
-        let mut pos = 0;
-        for w in 0..n_windows as u32 {
-            let start = pos;
-            while pos < flat.len() && flat[pos].0 == w {
-                pos += 1;
+        let _timer = obs::stages::span(obs::stages::Stage::Merge);
+        let mut counts = vec![0usize; n_windows];
+        for chunk in chunks {
+            for &(w, _) in chunk.as_ref() {
+                counts[w as usize] += 1;
             }
-            let edges: Vec<Edge> = flat[start..pos].iter().map(|&(_, e)| e).collect();
-            out.push(ThresholdedMatrix::from_sorted_edges(n, beta, rule, edges));
         }
-        debug_assert_eq!(pos, flat.len(), "edge tagged with out-of-range window");
-        out
+        let mut windows: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for chunk in chunks {
+            for &(w, e) in chunk.as_ref() {
+                windows[w as usize].push(e);
+            }
+        }
+        windows
+            .into_iter()
+            .map(|edges| ThresholdedMatrix::from_sorted_edges(n, beta, rule, edges))
+            .collect()
     }
 
     /// Number of series (matrix order).
@@ -374,6 +383,15 @@ mod tests {
             },
         ];
         let _ = ThresholdedMatrix::from_sorted_edges(4, 0.5, EdgeRule::Positive, entries);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly sorted")]
+    fn assemble_windows_rejects_chunks_out_of_rank_order_in_debug() {
+        let e = |i, j| Edge { i, j, value: 0.9 };
+        let chunks = [vec![(0, e(1, 2))], vec![(0, e(0, 3))]];
+        let _ = ThresholdedMatrix::assemble_windows(4, 0.5, EdgeRule::Positive, 1, &chunks);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! and pruning counters — must be identical for `threads = 1, 2, 8`, in
 //! both the batch and streaming engines, across storage modes, bound
 //! modes and edge rules. The work-stealing scheduler hands pairs out
-//! non-deterministically; the sort-and-partition assembly must erase that
+//! non-deterministically; joining each stolen chunk's edge buffer in
+//! pair-rank order, then scattering stably by window, must erase that
 //! completely.
 //!
 //! Since the SIMD kernel layer, the contract extends to the instruction
@@ -322,6 +323,51 @@ fn engine_output_is_kernel_backend_invariant() {
             std::slice::from_ref(&b.matrix),
             "kernel backend (stream)",
         );
+    }
+}
+
+#[test]
+fn shared_queries_are_thread_count_invariant() {
+    // `query_shared` walks the resident sketches with its own geometry;
+    // its answer — edges and counters — must not depend on the session's
+    // thread count, on the session geometry (pivots reused) or on another
+    // geometry (pivots off), under both bound modes.
+    use dangoron::PivotStrategy;
+    let full = generators::clustered_matrix(12, 400, 3, 0.5, 17).unwrap();
+    for bound in [BoundMode::Exhaustive, BoundMode::PaperJump { slack: 0.0 }] {
+        let run = |threads: usize| {
+            let mut session = StreamingDangoron::new(
+                full.slice_columns(0, 160).unwrap(),
+                80,
+                20,
+                0.75,
+                DangoronConfig {
+                    basic_window: 20,
+                    bound,
+                    horizontal: Some(dangoron::config::HorizontalConfig {
+                        n_pivots: 2,
+                        strategy: PivotStrategy::Evenly,
+                    }),
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            session.drain_completed().unwrap();
+            session
+                .append(&full.slice_columns(160, 400).unwrap())
+                .unwrap();
+            [(80, 20, 0.75), (60, 40, 0.6)].map(|(w, s, t)| session.query_shared(w, s, t).unwrap())
+        };
+        let baseline = run(1);
+        for (k, r) in baseline.iter().enumerate() {
+            assert!(r.total_edges() > 0, "{bound:?} query {k} found no edges");
+        }
+        for &t in &THREAD_COUNTS[1..] {
+            for (k, (a, b)) in baseline.iter().zip(&run(t)).enumerate() {
+                assert_same_result(a, b, &format!("shared query {k} {bound:?} threads={t}"));
+            }
+        }
     }
 }
 
