@@ -52,7 +52,9 @@ pub struct StreamingPerf {
     pub skip_fraction: f64,
     /// Cells settled by the triangle bound.
     pub pruned_by_triangle: u64,
-    /// (pair, drain) encounters eliminated wholesale by the prefilter.
+    /// (pair, drain) encounters eliminated wholesale by the prefilter —
+    /// 0 for a session: the prefilter only runs for pairs whose sketch is
+    /// not resident.
     pub pairs_skipped_entirely: u64,
     /// Total edges across all emitted windows.
     pub total_edges: usize,

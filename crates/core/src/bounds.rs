@@ -41,30 +41,13 @@ impl DepartureCost {
     /// Builds from per-basic-window correlations (`None` ⇒ undefined
     /// correlation, treated as 0 — a neutral value; see module docs).
     pub fn from_correlations(cs: impl Iterator<Item = Option<f64>>) -> Self {
-        // Sized once: a doubling chain of reallocs per pair, run on every
-        // worker at once, made the prepare's cost stage swing up to 3x
-        // from one call to the next.
-        let mut prefix = Vec::with_capacity(cs.size_hint().0 + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for c in cs {
-            acc += 1.0 - c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            prefix.push(acc);
-        }
-        Self { prefix }
+        Self::from_costs(cs.map(|c| 1.0 - c.unwrap_or(0.0)))
     }
 
     /// Builds the *lower-bound* cost prefix `Σ (1 + c_b)` — how fast the
     /// Eq. 2 lower bound can fall as those basic windows depart.
     pub fn from_correlations_lower(cs: impl Iterator<Item = Option<f64>>) -> Self {
-        let mut prefix = Vec::with_capacity(cs.size_hint().0 + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for c in cs {
-            acc += 1.0 + c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            prefix.push(acc);
-        }
-        Self { prefix }
+        Self::from_costs(cs.map(|c| 1.0 + c.unwrap_or(0.0)))
     }
 
     /// Extends a [`DepartureCost::from_correlations`] prefix with further
@@ -73,19 +56,35 @@ impl DepartureCost {
     /// build over the concatenated sequence — the streaming-session
     /// maintenance path.
     pub fn extend_from_correlations(&mut self, cs: impl Iterator<Item = Option<f64>>) {
-        let mut acc = *self.prefix.last().expect("prefix is never empty");
-        for c in cs {
-            acc += 1.0 - c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            self.prefix.push(acc);
-        }
+        self.extend_costs(cs.map(|c| 1.0 - c.unwrap_or(0.0)));
     }
 
     /// The [`DepartureCost::from_correlations_lower`] counterpart of
     /// [`DepartureCost::extend_from_correlations`].
     pub fn extend_from_correlations_lower(&mut self, cs: impl Iterator<Item = Option<f64>>) {
+        self.extend_costs(cs.map(|c| 1.0 + c.unwrap_or(0.0)));
+    }
+
+    /// The prefix of per-basic-window `costs`, the one builder of both
+    /// bounds' prefixes.
+    fn from_costs(costs: impl Iterator<Item = f64>) -> Self {
+        // Sized once: a doubling chain of reallocs per pair, run on every
+        // worker at once, made the prepare's cost stage swing up to 3x
+        // from one call to the next.
+        let mut prefix = Vec::with_capacity(costs.size_hint().0 + 1);
+        prefix.push(0.0);
+        let mut built = Self { prefix };
+        built.extend_costs(costs);
+        built
+    }
+
+    /// Continues the prefix with further per-basic-window `costs`.
+    fn extend_costs(&mut self, costs: impl Iterator<Item = f64>) {
         let mut acc = *self.prefix.last().expect("prefix is never empty");
-        for c in cs {
-            acc += 1.0 + c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
+        for c in costs {
+            // Every partial is stored, so an extension resumes from the
+            // stored tail bit-identically.
+            acc += c;
             self.prefix.push(acc);
         }
     }
@@ -158,21 +157,26 @@ pub fn max_jump(
     k_max: usize,
     dep: &DepartureCost,
 ) -> usize {
-    if k_max == 0 {
+    last_holding(k_max, |k| {
+        eq2_upper_bound(corr_i, ns, step_bw, bw0, k, dep) < beta - slack
+    })
+}
+
+/// The paper's binary search: the largest `k ∈ [1, k_max]` for which
+/// `holds(k)`, given `holds` is true up to some `k` and false after it;
+/// 0 when `holds(1)` is false.
+fn last_holding(k_max: usize, holds: impl Fn(usize) -> bool) -> usize {
+    if k_max == 0 || !holds(1) {
         return 0;
     }
-    let below = |k: usize| eq2_upper_bound(corr_i, ns, step_bw, bw0, k, dep) < beta - slack;
-    if !below(1) {
-        return 0;
-    }
-    if below(k_max) {
+    if holds(k_max) {
         return k_max;
     }
-    // Invariant: below(lo) is true, below(hi) is false.
+    // Invariant: holds(lo) is true, holds(hi) is false.
     let (mut lo, mut hi) = (1usize, k_max);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if below(mid) {
+        if holds(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -219,30 +223,11 @@ pub fn max_jump_absolute(
     up: &DepartureCost,
     low: &DepartureCost,
 ) -> usize {
-    if k_max == 0 {
-        return 0;
-    }
     let margin = beta - slack;
-    let inside = |k: usize| {
+    last_holding(k_max, |k| {
         eq2_upper_bound(corr_hi, ns, step_bw, bw0, k, up) < margin
             && eq2_lower_bound(corr_lo, ns, step_bw, bw0, k, low) > -margin
-    };
-    if !inside(1) {
-        return 0;
-    }
-    if inside(k_max) {
-        return k_max;
-    }
-    let (mut lo_k, mut hi_k) = (1usize, k_max);
-    while hi_k - lo_k > 1 {
-        let mid = lo_k + (hi_k - lo_k) / 2;
-        if inside(mid) {
-            lo_k = mid;
-        } else {
-            hi_k = mid;
-        }
-    }
-    lo_k
+    })
 }
 
 /// Triangle-inequality bounds on `c_xy` from pivot correlations.

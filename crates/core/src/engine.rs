@@ -2,21 +2,20 @@
 //! sliding query.
 //!
 //! Following the paper's evaluation methodology, the two phases are split:
-//! [`Dangoron::prepare`] builds the basic-window sketch store (and, in
-//! [`PairStorage::Precomputed`] mode, all pair sketches — the TSUBASA
-//! storage model), while [`Dangoron::run`] measures *pure query time*: the
-//! walk over `(pair, window)` cells with vertical jumping and horizontal
-//! pruning.
+//! [`Dangoron::prepare`] builds the engine core's `PairState` over the
+//! query range — the basic-window sketch store and, in
+//! [`PairStorage::Precomputed`] mode, all pair sketches and their Eq. 2
+//! cost prefixes (the TSUBASA storage model), plus the pivot table — while
+//! [`Dangoron::run`] measures *pure query time*: one walk of that state
+//! over `(pair, window)` cells with vertical jumping and horizontal
+//! pruning. A streaming session and a shared query walk the same state
+//! type with the same walk (`crate::state`).
 
-use crate::bounds::PairCosts;
-use crate::config::{BoundMode, DangoronConfig, PairStorage};
-use crate::pivot::{select_pivots, PivotSet};
+use crate::config::{DangoronConfig, PairStorage};
+use crate::state::{PairState, Purpose};
 use crate::stats::PruningStats;
-use crate::walker::{pair_costs, walk_pair, WalkGeometry};
-use sketch::output::{Edge, EdgeRule};
-use sketch::{
-    pair, triangular, BasicWindowLayout, PairSketch, SketchStore, SlidingQuery, ThresholdedMatrix,
-};
+use crate::walker::WalkGeometry;
+use sketch::{triangular, BasicWindowLayout, SlidingQuery, ThresholdedMatrix};
 use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
@@ -26,28 +25,14 @@ pub struct Dangoron {
     config: DangoronConfig,
 }
 
-/// Everything precomputed before the timed query: sketch store, optional
-/// pair sketches, optional pivot correlations.
+/// Everything precomputed before the timed query: the sketch state of the
+/// prepared pair-rank interval.
 pub struct Prepared<'a> {
-    x: &'a TimeSeriesMatrix,
     /// The validated query.
     pub query: SlidingQuery,
     /// Basic-window layout covering the query range.
     pub layout: BasicWindowLayout,
-    /// Per-series basic-window statistics.
-    pub store: SketchStore,
-    pairs: Option<Vec<PairSketch>>,
-    /// Per-pair Eq. 2 departure-cost prefixes, precomputed alongside the
-    /// pair sketches (the paper: "we can precompute and store basic window
-    /// statistics" — the pairwise `c_j` are part of that sketch state).
-    deps: Option<Vec<PairCosts>>,
-    pivots: Option<PivotSet>,
-    geo: WalkGeometry,
-    /// The contiguous pair-rank interval this preparation covers: the full
-    /// triangle for [`Dangoron::prepare`], a shard for
-    /// [`Dangoron::prepare_shard`]. `pairs`/`deps` are indexed by
-    /// `rank − pair_range.start`.
-    pair_range: Range<usize>,
+    state: PairState<'a>,
 }
 
 /// The result of a sliding query: one thresholded matrix per window plus
@@ -65,71 +50,6 @@ impl QueryResult {
     pub fn total_edges(&self) -> usize {
         self.matrices.iter().map(|m| m.n_edges()).sum()
     }
-}
-
-/// Minimum pair-chunk a worker steals at once. Small, because vertical
-/// jumping makes per-pair cost wildly non-uniform — a large floor would
-/// recreate the static-chunk straggler problem the scheduler exists to
-/// avoid; going all the way to 1 pays one atomic per pair on cheap
-/// workloads.
-pub(crate) const WALK_GRAIN: usize = 8;
-
-/// A window-tagged edge. Each stolen chunk of pair ranks collects its own
-/// buffer of these; [`walk_ranks`] assembles them into matrices.
-pub(crate) type TaggedEdge = (u32, Edge);
-
-/// Walks the pair ranks `ranks` of an `n`-series triangle on `threads`
-/// workers and assembles one matrix per window — the driver shared by the
-/// batch run, the streaming drain and shared queries.
-///
-/// `walk_one(i, j, buf, stats)` walks one pair, pushing its edges in
-/// ascending window order. Every stolen chunk gets its own buffer and
-/// counters, and [`exec::par_map_chunks`] returns them in rank order, so
-/// within each window the joined stream is already sorted by `(i, j)`:
-/// [`ThresholdedMatrix::assemble_windows`] scatters it without a sort, and
-/// the result is the same for every thread count.
-pub(crate) fn walk_ranks<F>(
-    ranks: Range<usize>,
-    n: usize,
-    threads: usize,
-    n_windows: usize,
-    threshold: f64,
-    rule: EdgeRule,
-    walk_one: F,
-) -> QueryResult
-where
-    F: Fn(usize, usize, &mut Vec<TaggedEdge>, &mut PruningStats) + Sync,
-{
-    let chunks = exec::par_map_chunks(ranks.len(), threads, WALK_GRAIN, |range| {
-        let mut buf = Vec::new();
-        let mut stats = PruningStats::default();
-        for local in range {
-            let (i, j) = triangular::unrank(ranks.start + local, n);
-            walk_one(i, j, &mut buf, &mut stats);
-        }
-        (buf, stats)
-    });
-    let mut stats = PruningStats::default();
-    let mut bufs = Vec::with_capacity(chunks.len());
-    for (buf, s) in chunks {
-        stats.merge(&s);
-        bufs.push(buf);
-    }
-    let matrices = ThresholdedMatrix::assemble_windows(n, threshold, rule, n_windows, &bufs);
-    QueryResult { matrices, stats }
-}
-
-/// Tags edge `(i, j) = value` with its (local) window.
-#[inline]
-pub(crate) fn tagged(window: usize, i: usize, j: usize, value: f64) -> TaggedEdge {
-    (
-        window as u32,
-        Edge {
-            i: i as u32,
-            j: j as u32,
-            value,
-        },
-    )
 }
 
 impl Dangoron {
@@ -161,12 +81,12 @@ impl Dangoron {
     /// In [`PairStorage::Precomputed`] mode only the shard's pair sketches
     /// and departure costs are built, so a worker's prepare cost and memory
     /// scale with its shard, not with the full `N·(N−1)/2` triangle. The
-    /// per-series [`SketchStore`] and the pivot table (when horizontal
+    /// per-series [`sketch::SketchStore`] and the pivot table (when horizontal
     /// pruning is on) are whole-matrix state and are built in full — they
-    /// are O(N), not O(N²), and every shard needs them. Sharded
-    /// preparations build the pivot table from raw rows rather than from
-    /// the (partial) pair-sketch set; the two paths are bit-identical, so
-    /// results never depend on the shard layout.
+    /// are O(N), not O(N²), and every shard needs them. The pivot pairs a
+    /// shard does not hold are sketched for the table build and dropped
+    /// after it; every cell is computed by the same kernels, so results
+    /// never depend on the shard layout.
     pub fn prepare_shard<'a>(
         &self,
         x: &'a TimeSeriesMatrix,
@@ -174,90 +94,13 @@ impl Dangoron {
         pair_range: Range<usize>,
     ) -> Result<Prepared<'a>, TsError> {
         let _timer = obs::stages::span(obs::stages::Stage::Prepare);
-        let n_pairs = triangular::count(x.n_series());
-        if pair_range.start > pair_range.end || pair_range.end > n_pairs {
-            return Err(TsError::InvalidParameter(format!(
-                "pair range {}..{} outside the {} pair ranks",
-                pair_range.start, pair_range.end, n_pairs
-            )));
-        }
         query.validate(x.len())?;
-        if self.config.edge_rule == EdgeRule::Absolute && query.threshold < 0.0 {
-            return Err(TsError::InvalidParameter(
-                "absolute edge rule requires a non-negative threshold".into(),
-            ));
-        }
-        let layout = BasicWindowLayout::for_query(&query, self.config.basic_window)?;
-        let threads = self.config.threads;
-        let store = SketchStore::build_with_threads(x, layout, threads)?;
-        let n = x.n_series();
-
-        let full_triangle = pair_range == (0..n_pairs);
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-        let (pairs, deps) = match self.config.storage {
-            PairStorage::Precomputed => {
-                // Cache-blocked tiled build of the cross-prefix sketches
-                // (the whole triangle, or only the shard's rank interval),
-                // then the Eq. 2 departure costs, both with workers
-                // stealing chunks — the prepare phase dominates wall time
-                // at large N and was previously a serial loop.
-                let v = if full_triangle {
-                    pair::build_all(&layout, x, threads)?
-                } else {
-                    pair::build_range(&layout, x, pair_range.clone(), threads)?
-                };
-                let d = need_dep.then(|| {
-                    let rule = self.config.edge_rule;
-                    let base = pair_range.start;
-                    exec::par_collect_chunks(v.len(), threads, 16, |range| {
-                        range
-                            .map(|k| {
-                                let (i, j) = triangular::unrank(base + k, n);
-                                pair_costs(&store, &v[k], i, j, rule)
-                            })
-                            .collect()
-                    })
-                });
-                (Some(v), d)
-            }
-            PairStorage::OnDemand => (None, None),
-        };
-
-        let pivots = match &self.config.horizontal {
-            Some(h) => {
-                let chosen = select_pivots(&h.strategy, h.n_pivots, n)?;
-                // A sharded pair-sketch set cannot serve arbitrary
-                // (pivot, series) ranks, so shard preparations build the
-                // table from raw rows — bit-identical to the reuse path.
-                let reuse = if full_triangle {
-                    pairs.as_deref()
-                } else {
-                    None
-                };
-                Some(PivotSet::build(
-                    x, &store, &layout, &query, chosen, reuse, threads,
-                )?)
-            }
-            None => None,
-        };
-
-        let geo = WalkGeometry {
-            n_windows: query.n_windows(),
-            ns: layout.windows_per_query(query.window),
-            step_bw: query.step / layout.width,
-            offset_bw: 0,
-        };
-
+        let purpose = Purpose::OneShot((self.config.storage == PairStorage::OnDemand).then_some(x));
+        let state = PairState::build(x, &query, pair_range, &self.config, purpose)?;
         Ok(Prepared {
-            x,
             query,
-            layout,
-            store,
-            pairs,
-            deps,
-            pivots,
-            geo,
-            pair_range,
+            layout: *state.store.layout(),
+            state,
         })
     }
 
@@ -290,7 +133,7 @@ impl Dangoron {
     /// assert_eq!(first.total_edges(), again.total_edges());
     /// ```
     pub fn run(&self, prep: &Prepared<'_>) -> QueryResult {
-        self.run_range(prep, prep.pair_range.clone())
+        self.run_range(prep, prep.pair_range())
     }
 
     /// [`Dangoron::run`] restricted to the pair ranks
@@ -307,24 +150,18 @@ impl Dangoron {
     /// # Panics
     /// Panics when `ranks` is not contained in the prepared interval.
     pub fn run_range(&self, prep: &Prepared<'_>, ranks: Range<usize>) -> QueryResult {
+        let prepared = prep.pair_range();
         assert!(
-            ranks.start >= prep.pair_range.start && ranks.end <= prep.pair_range.end,
+            ranks.start >= prepared.start && ranks.end <= prepared.end,
             "pair ranks {}..{} outside the prepared interval {}..{}",
             ranks.start,
             ranks.end,
-            prep.pair_range.start,
-            prep.pair_range.end,
+            prepared.start,
+            prepared.end,
         );
         let _timer = obs::stages::span(obs::stages::Stage::Walk);
-        walk_ranks(
-            ranks,
-            prep.x.n_series(),
-            self.config.threads,
-            prep.geo.n_windows,
-            prep.query.threshold,
-            self.config.edge_rule,
-            |i, j, buf, stats| self.walk_one_pair(prep, i, j, buf, stats),
-        )
+        prep.state
+            .walk(&self.config, prep.geometry(), prep.query.threshold, ranks)
     }
 
     /// Convenience: `prepare` + `run`.
@@ -336,101 +173,34 @@ impl Dangoron {
         let prep = self.prepare(x, query)?;
         Ok(self.run(&prep))
     }
-
-    /// Walks one pair, appending its edges to the chunk's buffer.
-    fn walk_one_pair(
-        &self,
-        prep: &Prepared<'_>,
-        i: usize,
-        j: usize,
-        buf: &mut Vec<TaggedEdge>,
-        stats: &mut PruningStats,
-    ) {
-        let n = prep.x.n_series();
-        let beta = prep.query.threshold;
-        let n_windows = prep.geo.n_windows;
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-
-        // Pair-level horizontal prefilter: only worthwhile when the pair
-        // sketch would have to be built from raw data.
-        if prep.pairs.is_none() {
-            if let Some(pv) = &prep.pivots {
-                if pv.pair_never_edges(i, j, beta, self.config.edge_rule) {
-                    stats.n_pairs += 1;
-                    stats.total_cells += n_windows as u64;
-                    stats.pairs_skipped_entirely += 1;
-                    return;
-                }
-            }
-        }
-
-        let owned;
-        let pair: &PairSketch = match &prep.pairs {
-            Some(all) => &all[triangular::rank(i, j, n) - prep.pair_range.start],
-            None => {
-                owned = PairSketch::build(&prep.layout, prep.x.row(i), prep.x.row(j))
-                    .expect("pair geometry validated in prepare");
-                &owned
-            }
-        };
-
-        // Precomputed deps (sketch state) when available; transient
-        // otherwise (OnDemand storage pays it inside the query).
-        let dep_owned;
-        let dep = match (&prep.deps, need_dep) {
-            (Some(all), true) => Some(&all[triangular::rank(i, j, n) - prep.pair_range.start]),
-            (None, true) => {
-                dep_owned = pair_costs(&prep.store, pair, i, j, self.config.edge_rule);
-                Some(&dep_owned)
-            }
-            (_, false) => None,
-        };
-        walk_pair(
-            &prep.store,
-            pair,
-            i,
-            j,
-            prep.geo,
-            beta,
-            self.config.edge_rule,
-            self.config.bound,
-            dep,
-            prep.pivots.as_ref(),
-            stats,
-            |w, v| buf.push(tagged(w, i, j, v)),
-        );
-    }
 }
 
 impl Prepared<'_> {
     /// Approximate bytes held by the prepared state (sketch store + pair
     /// sketches) — the memory axis of the storage-mode trade-off.
     pub fn memory_bytes(&self) -> usize {
-        let pair_bytes = self
-            .pairs
-            .as_ref()
-            .map(|v| v.len() * (self.layout.count + 1) * std::mem::size_of::<f64>())
-            .unwrap_or(0);
-        self.store.memory_bytes() + pair_bytes
+        self.state.sketch_bytes()
     }
 
     /// The walk geometry (exposed for the experiment harness).
     pub fn geometry(&self) -> WalkGeometry {
-        self.geo
+        self.state.geometry(self.query.window, self.query.step, 0)
     }
 
     /// The contiguous pair-rank interval this preparation covers — the
     /// full triangle for [`Dangoron::prepare`], the shard for
     /// [`Dangoron::prepare_shard`].
     pub fn pair_range(&self) -> Range<usize> {
-        self.pair_range.clone()
+        self.state.ranks.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HorizontalConfig, PivotStrategy};
+    use crate::config::{BoundMode, HorizontalConfig, PivotStrategy};
+    use crate::state::{tagged, TaggedEdge};
+    use sketch::output::EdgeRule;
     use tsdata::{generators, stats as tstats};
 
     fn workload(n: usize, len: usize) -> TimeSeriesMatrix {
@@ -809,6 +579,37 @@ mod tests {
         })
         .unwrap();
         assert!(engine.prepare(&x, q).is_err());
+    }
+
+    #[test]
+    fn non_finite_samples_are_refused_with_their_position() {
+        let clean = workload(6, 300);
+        let q = query(300, 0.7);
+        let engine = Dangoron::new(DangoronConfig {
+            basic_window: 20,
+            ..Default::default()
+        })
+        .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut x = clean.clone();
+            x.set(2, 50, bad);
+            let want = TsError::NonFinite {
+                series: 2,
+                column: 50,
+            };
+            assert_eq!(engine.execute(&x, q).err(), Some(want.clone()), "{bad}");
+            assert_eq!(engine.prepare_shard(&x, q, 3..9).err(), Some(want), "{bad}");
+        }
+        // Samples outside the query range are never read, so they are not
+        // refused.
+        let mut x = clean.clone();
+        x.set(1, 299, f64::NAN);
+        let mut inside = q;
+        inside.end = 280;
+        let got = engine.execute(&x, inside).unwrap();
+        let want = engine.execute(&clean, inside).unwrap();
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(got.total_edges(), want.total_edges());
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //!    `c_xz·c_yz ± √((1−c_xz²)(1−c_yz²))`; pairs whose upper bound stays
 //!    below `β` skip exact evaluation entirely ([`pivot`]).
 //!
-//! Two execution surfaces share one pruned walker ([`walker`]): the batch
-//! engine [`Dangoron`] (`prepare` + `run`) and the real-time session
-//! [`StreamingDangoron`] (`append` + drain). Results are **deterministic
-//! three ways**: bit-identical across thread counts (the `exec`
-//! scheduler's ordered merge), across batch and streaming (shared walker +
-//! incrementally maintained sketches), and across SIMD/scalar builds (the
-//! `kernel` crate's bit-identical backends). `ARCHITECTURE.md` at the
-//! repository root walks the full crate graph and data flow.
+//! Two execution surfaces share one engine core (one sketch state, one
+//! pruned walk): the batch engine [`Dangoron`] (`prepare` + `run`) and the
+//! real-time session [`StreamingDangoron`] (`append` + drain). Results are
+//! **deterministic three ways**: bit-identical across thread counts (the
+//! `exec` scheduler's ordered merge), across batch and streaming (shared
+//! walker + incrementally maintained sketches), and across SIMD/scalar
+//! builds (the `kernel` crate's bit-identical backends). `ARCHITECTURE.md`
+//! at the repository root walks the full crate graph and data flow.
 //!
 //! ```
 //! use dangoron::{Dangoron, DangoronConfig};
@@ -46,6 +46,7 @@ pub mod bounds;
 pub mod config;
 pub mod engine;
 pub mod pivot;
+mod state;
 pub mod stats;
 pub mod streaming;
 pub mod walker;

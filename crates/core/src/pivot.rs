@@ -5,12 +5,18 @@
 //! the PSD-ness of correlation matrices then confines `c_xy` to
 //! `c_xz·c_yz ± √((1−c_xz²)(1−c_yz²))`; pairs whose upper bound stays below
 //! `β` never need an exact evaluation. Unlike the Eq. 2 jump this bound is
-//! unconditional, so horizontal pruning never costs accuracy.
+//! unconditional: a cell it settles never holds an edge. Under
+//! [`crate::BoundMode::Exhaustive`] horizontal pruning is therefore
+//! lossless. Under [`crate::BoundMode::PaperJump`] it is not neutral: a
+//! settled cell jumps from the interval's upper end instead of the exact
+//! value, so pivots steer the approximate jump path and can change which
+//! edge windows it lands on.
 //!
-//! The table is maintained *incrementally*: [`PivotSet::append_windows`]
-//! grows it window-by-window from already-updated sketches, which is what
-//! lets [`crate::streaming::StreamingDangoron`] apply horizontal pruning
-//! without ever rebuilding pivot state — the per-drain cost stays
+//! The table has one builder, [`PivotSet::append_windows`]: it grows the
+//! table by the windows not covered yet, one `(pivot, series)` cell per
+//! stolen task, reading correlations from already-built sketches. A batch
+//! preparation fills every window once; a streaming session grows the
+//! table per append without ever rebuilding it — the per-drain cost stays
 //! O(n_pivots · N · Δwindows).
 
 use crate::config::PivotStrategy;
@@ -18,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sketch::output::EdgeRule;
 use sketch::{combine, triangular, BasicWindowLayout, PairSketch, SketchStore, SlidingQuery};
+use std::borrow::Cow;
 use tsdata::{TimeSeriesMatrix, TsError};
 
 /// Pivot indices plus their per-window correlations to every series.
@@ -109,88 +116,85 @@ impl PivotSet {
     ) -> Result<Self, TsError> {
         let _timer = obs::stages::span(obs::stages::Stage::PivotBuild);
         let n = x.n_series();
-        let n_windows = query.n_windows();
-        // Precompute the basic-window range of every window once.
-        let mut ranges = Vec::with_capacity(n_windows);
-        for w in 0..n_windows {
-            let (ws, we) = query.window_range(w);
-            ranges.push(layout.window_to_basic(ws, we)?);
+        // The table keys window `w` to basic windows
+        // `[w·step_bw, w·step_bw + ns)` of the layout.
+        let aligned = BasicWindowLayout::for_query(query, layout.width)?;
+        if aligned.origin != layout.origin || aligned.count > layout.count || layout.end() > x.len()
+        {
+            return Err(TsError::InvalidParameter(
+                "the layout must cover the query's windows from its origin".into(),
+            ));
         }
-
-        // One column of per-window correlations per (pivot, series) cell;
-        // cells are independent, so workers steal them.
-        let cells: Vec<Result<Vec<f64>, TsError>> =
-            exec::par_collect_chunks(pivots.len() * n, threads, 1, |range| {
-                range
-                    .map(|cell| {
-                        let (p, s) = (cell / n, cell % n);
-                        let z = pivots[p];
-                        if s == z {
-                            // corr(z, z) = 1 in every window.
-                            return Ok(vec![1.0; n_windows]);
-                        }
-                        let owned;
-                        let sketch: &PairSketch = match pairs {
-                            Some(all) => &all[triangular::rank(z.min(s), z.max(s), n)],
-                            None => {
-                                owned = PairSketch::build(layout, x.row(z), x.row(s))?;
-                                &owned
-                            }
-                        };
-                        Ok(ranges
-                            .iter()
-                            .map(|&(b0, b1)| {
-                                combine::window_correlation(store, sketch, z, s, b0, b1)
-                                    .unwrap_or(f64::NAN)
-                            })
-                            .collect())
-                    })
-                    .collect()
-            });
-
-        let mut corr = vec![vec![f64::NAN; n * n_windows]; pivots.len()];
-        for (cell, col) in cells.into_iter().enumerate() {
-            let (p, s) = (cell / n, cell % n);
-            for (w, v) in col?.into_iter().enumerate() {
-                corr[p][w * n + s] = v;
-            }
-        }
-        Ok(Self {
-            pivots,
-            n_series: n,
-            n_windows,
-            corr,
-        })
+        let (ns, step_bw) = (query.window / layout.width, query.step / layout.width);
+        let mut set = Self::empty(pivots, n);
+        let sketch_of = |z: usize, s: usize| match pairs {
+            Some(all) => Cow::Borrowed(&all[triangular::rank(z.min(s), z.max(s), n)]),
+            None => Cow::Owned(PairSketch::build(layout, x.row(z), x.row(s)).expect("rows cover")),
+        };
+        set.append_windows(store, query.n_windows(), ns, step_bw, threads, sketch_of);
+        Ok(set)
     }
 
     /// Extends the table to cover `total_windows` windows, computing only
     /// the new windows' pivot-to-all correlations. Window `w` spans basic
-    /// windows `[w·step_bw, w·step_bw + ns)`; `corr_of(z, s, b0, b1)`
-    /// supplies the exact correlation from the caller's (incrementally
-    /// updated) sketches, `NaN` when undefined.
+    /// windows `[w·step_bw, w·step_bw + ns)` of `store`'s layout;
+    /// `sketch_of(z, s)` supplies the pair sketch of pivot `z` and series
+    /// `s` (borrowed from resident state, or built for the call).
     ///
-    /// This is the streaming maintenance path: per append it costs
-    /// O(n_pivots · N · Δwindows) sketch combines and never rescans
-    /// history.
-    pub fn append_windows(
+    /// Cells are independent, so `threads` workers steal them; each cell's
+    /// column lands at a fixed index, so the table is bit-identical for
+    /// every thread count and for every split of the windows into appends.
+    /// Per append it costs O(n_pivots · N · Δwindows) sketch combines and
+    /// never rescans history.
+    pub fn append_windows<'s>(
         &mut self,
+        store: &SketchStore,
         total_windows: usize,
         ns: usize,
         step_bw: usize,
-        corr_of: impl Fn(usize, usize, usize, usize) -> f64,
+        threads: usize,
+        sketch_of: impl Fn(usize, usize) -> Cow<'s, PairSketch> + Sync,
     ) {
-        let n = self.n_series;
-        for w in self.n_windows..total_windows {
-            let (b0, b1) = (w * step_bw, w * step_bw + ns);
-            for (p, &z) in self.pivots.iter().enumerate() {
-                self.corr[p].reserve(n);
-                for s in 0..n {
-                    let v = if s == z { 1.0 } else { corr_of(z, s, b0, b1) };
-                    self.corr[p].push(v);
-                }
+        let (n, from) = (self.n_series, self.n_windows);
+        if total_windows <= from {
+            return;
+        }
+        let pivots = &self.pivots;
+        let cells: Vec<Vec<f64>> =
+            exec::par_collect_chunks(pivots.len() * n, threads, 1, |range| {
+                range
+                    .map(|cell| {
+                        let (z, s) = (pivots[cell / n], cell % n);
+                        if s == z {
+                            // corr(z, z) = 1 in every window.
+                            return vec![1.0; total_windows - from];
+                        }
+                        let sketch = sketch_of(z, s);
+                        (from..total_windows)
+                            .map(|w| {
+                                let b0 = w * step_bw;
+                                combine::window_correlation(store, &sketch, z, s, b0, b0 + ns)
+                                    .unwrap_or(f64::NAN)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            });
+        for row in &mut self.corr {
+            // One window at a time, so the capacity a session reports as
+            // resident memory grows the same way for any append split.
+            for _ in from..total_windows {
+                row.reserve(n);
+                row.resize(row.len() + n, f64::NAN);
             }
         }
-        self.n_windows = self.n_windows.max(total_windows);
+        for (cell, col) in cells.into_iter().enumerate() {
+            let (p, s) = (cell / n, cell % n);
+            for (k, v) in col.into_iter().enumerate() {
+                self.corr[p][(from + k) * n + s] = v;
+            }
+        }
+        self.n_windows = total_windows;
     }
 
     /// Number of windows covered.
@@ -431,9 +435,8 @@ mod tests {
         let mut grown = PivotSet::empty(vec![0, 4], 8);
         // Two uneven growth steps.
         for total in [2, query.n_windows()] {
-            grown.append_windows(total, ns, step_bw, |z, s, b0, b1| {
-                let p = &pairs[triangular::rank(z.min(s), z.max(s), 8)];
-                combine::window_correlation(&store, p, z, s, b0, b1).unwrap_or(f64::NAN)
+            grown.append_windows(&store, total, ns, step_bw, 2, |z, s| {
+                Cow::Borrowed(&pairs[triangular::rank(z.min(s), z.max(s), 8)])
             });
         }
         assert_eq!(grown.n_windows(), batch.n_windows());
@@ -445,7 +448,9 @@ mod tests {
         }
         // Idempotent when nothing new completes.
         let before = grown.corr.clone();
-        grown.append_windows(query.n_windows(), ns, step_bw, |_, _, _, _| f64::NAN);
+        grown.append_windows(&store, query.n_windows(), ns, step_bw, 2, |_, _| {
+            unreachable!("no window is new")
+        });
         assert_eq!(before, grown.corr);
     }
 

@@ -2,42 +2,32 @@
 //! newly completed windows' networks.
 //!
 //! The problem statement's first challenge is "efficiency of network
-//! construction **and updates**". [`StreamingDangoron`] owns the growing
-//! sketch state — per-series and per-pair prefixes plus, in jump mode,
-//! the Eq. 2 departure-cost prefixes — and maintains all of it
-//! incrementally (`SketchStore::append_tail` / `PairSketch::append_tail`
-//! / `extend_pair_costs` touch only the new columns — history is never
-//! rescanned), answering each [`StreamingDangoron::append`] with the
-//! thresholded matrices of every window that became complete.
+//! construction **and updates**". [`StreamingDangoron`] is the engine
+//! core's `PairState` kept alive: opening a session builds the state
+//! over the initial history, exactly as a batch preparation builds it over
+//! a query range, except that every pair sketch stays resident (the
+//! streaming state *is* the precomputed sketch set). Each
+//! [`StreamingDangoron::append`] extends that state from the new columns
+//! only — store and pair prefixes, the Eq. 2 departure-cost prefixes in
+//! jump mode, and the pivot table under horizontal pruning; history is
+//! never rescanned — and answers with the thresholded matrices of every
+//! window that became complete.
 //!
-//! Both pruning mechanisms of the batch engine apply:
-//!
-//! * **vertical jumping** (Eq. 2) over each drain's window suffix, and
-//! * **horizontal (triangle) pruning** via an incrementally maintained
-//!   [`PivotSet`]: new windows' pivot-to-all correlations are extended
-//!   column-by-column from the already-updated sketches
-//!   ([`PivotSet::append_windows`]), so enabling
-//!   [`DangoronConfig::horizontal`] costs O(n_pivots · N · Δwindows) per
-//!   append — never a rebuild. The triangle bound is unconditional, so
-//!   streamed results stay bit-identical to the exhaustive batch engine.
-//!
-//! The walk itself is the batch walker ([`crate::walker::walk_pair`])
-//! shifted into the global window frame by [`WalkGeometry::offset_bw`]; no
-//! parallel streaming implementation exists. Raw history is evicted as
-//! soon as it is absorbed into the sketch prefixes, so a long-lived
-//! session holds O(N·n_b) sketch state plus less than one basic window of
-//! raw columns — not the full stream.
+//! A drain is the batch walk over the new window suffix: the same
+//! [`crate::walker::walk_pair`], vertical jumping (Eq. 2) and triangle
+//! pruning, shifted into the global window frame by
+//! [`crate::walker::WalkGeometry::offset_bw`]. [`StreamingDangoron::query_shared`]
+//! is that walk with another geometry over the whole history. No parallel
+//! streaming implementation exists. Raw history is evicted as soon as it
+//! is absorbed into the sketch prefixes, so a long-lived session holds
+//! O(N²·n_b) sketch state plus less than one basic window of raw columns —
+//! not the full stream.
 
-use crate::bounds::PairCosts;
-use crate::config::{BoundMode, DangoronConfig};
-use crate::engine::{tagged, walk_ranks};
-use crate::pivot::{select_pivots, PivotSet};
+use crate::config::DangoronConfig;
+use crate::engine::QueryResult;
+use crate::state::{check_geometry, PairState, Purpose};
 use crate::stats::PruningStats;
-use crate::walker::{extend_pair_costs, pair_costs, walk_pair, WalkGeometry};
-use sketch::{
-    combine, pair, triangular, BasicWindowLayout, PairSketch, SketchStore, SlidingQuery,
-    ThresholdedMatrix,
-};
+use sketch::{triangular, SlidingQuery, ThresholdedMatrix};
 use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
@@ -69,35 +59,9 @@ use tsdata::{TimeSeriesMatrix, TsError};
 /// ```
 pub struct StreamingDangoron {
     config: DangoronConfig,
-    window: usize,
-    step: usize,
     threshold: f64,
-    n_series: usize,
-    /// Raw columns not yet absorbed into the sketches: global indices
-    /// `[tail_start, tail_start + len)`. `None` ⇔ nothing retained.
-    /// Invariant: `tail_start + len == total_cols`, and after every
-    /// append `len < basic_window` (absorbed history is evicted).
-    tail: Option<TimeSeriesMatrix>,
-    tail_start: usize,
-    total_cols: usize,
-    store: SketchStore,
-    /// The contiguous pair-rank interval this session walks — the full
-    /// triangle for [`StreamingDangoron::new`], a shard for
-    /// [`StreamingDangoron::new_sharded`]. `pairs`/`deps` are indexed by
-    /// `rank − pair_range.start`.
-    pair_range: Range<usize>,
-    pairs: Vec<PairSketch>,
-    /// Per-pair Eq. 2 departure-cost prefixes, maintained incrementally
-    /// alongside the pair sketches; empty unless the bound mode jumps.
-    deps: Vec<PairCosts>,
-    /// Pivot-pair sketches whose ranks fall **outside** `pair_range`,
-    /// sorted by rank — sharded sessions still need every (pivot, series)
-    /// correlation to grow the pivot table. Empty when the session is
-    /// unsharded (the main pair set covers them) or horizontal pruning is
-    /// off. Built and appended with the same kernels as the main set, so
-    /// the table stays bit-identical to an unsharded session's.
-    pivot_pairs: Vec<(usize, PairSketch)>,
-    pivots: Option<PivotSet>,
+    /// The session's sketch state over every column ingested so far.
+    state: PairState<'static>,
     /// Cumulative pruning counters across all drains.
     stats: PruningStats,
     /// Counters of the most recent non-empty drain.
@@ -148,159 +112,45 @@ impl StreamingDangoron {
         pair_range: Range<usize>,
     ) -> Result<Self, TsError> {
         config.validate()?;
-        let n_pairs_total = triangular::count(initial.n_series());
-        if pair_range.start > pair_range.end || pair_range.end > n_pairs_total {
-            return Err(TsError::InvalidParameter(format!(
-                "pair range {}..{} outside the {} pair ranks",
-                pair_range.start, pair_range.end, n_pairs_total
-            )));
-        }
-        let b = config.basic_window;
-        if window < 2 || !window.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "window {window} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if step == 0 || !step.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "step {step} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(TsError::InvalidParameter(format!(
-                "threshold must be in [-1, 1], got {threshold}"
-            )));
-        }
-        if initial.len() < b {
-            return Err(TsError::TooShort {
-                need: b,
-                got: initial.len(),
-            });
-        }
-        let layout = BasicWindowLayout::cover(0, initial.len(), b)?;
-        let store = SketchStore::build_with_threads(&initial, layout, config.threads)?;
-        let n = initial.n_series();
-        let full_triangle = pair_range == (0..n_pairs_total);
-        let pairs = if full_triangle {
-            pair::build_all(&layout, &initial, config.threads)?
-        } else {
-            pair::build_range(&layout, &initial, pair_range.clone(), config.threads)?
-        };
-        let total_cols = initial.len();
-
-        // Sharded sessions with horizontal pruning additionally keep the
-        // out-of-shard pivot-pair sketches, so the pivot table can keep
-        // growing without the full triangle.
-        let mut pivot_ranks: Vec<usize> = Vec::new();
-        let chosen = match &config.horizontal {
-            Some(h) => {
-                let chosen = select_pivots(&h.strategy, h.n_pivots, n)?;
-                for &z in &chosen {
-                    for s in 0..n {
-                        if s != z {
-                            let p = triangular::rank(z.min(s), z.max(s), n);
-                            if !pair_range.contains(&p) {
-                                pivot_ranks.push(p);
-                            }
-                        }
-                    }
-                }
-                pivot_ranks.sort_unstable();
-                pivot_ranks.dedup();
-                Some(chosen)
-            }
-            None => None,
-        };
-        let pivot_pairs: Vec<(usize, PairSketch)> =
-            exec::par_collect_chunks(pivot_ranks.len(), config.threads, 8, |range| {
-                range
-                    .map(|k| {
-                        let p = pivot_ranks[k];
-                        let (i, j) = triangular::unrank(p, n);
-                        let sketch = PairSketch::build(&layout, initial.row(i), initial.row(j))
-                            .expect("layout covers the initial history");
-                        (p, sketch)
-                    })
-                    .collect()
-            });
-
-        // Jump mode: precompute the Eq. 2 cost prefixes once; appends
-        // extend them from the new basic windows only.
-        let deps = if matches!(config.bound, BoundMode::PaperJump { .. }) {
-            let rule = config.edge_rule;
-            let base = pair_range.start;
-            exec::par_collect_chunks(pairs.len(), config.threads, 16, |range| {
-                range
-                    .map(|k| {
-                        let (i, j) = triangular::unrank(base + k, n);
-                        pair_costs(&store, &pairs[k], i, j, rule)
-                    })
-                    .collect()
-            })
-        } else {
-            Vec::new()
-        };
-
-        // Keep only the raw columns the sketches have not absorbed yet.
-        let covered = store.layout().end();
-        let (tail, tail_start) = if covered < total_cols {
-            (Some(initial.slice_columns(covered, total_cols)?), covered)
-        } else {
-            (None, total_cols)
-        };
-
-        let mut session = Self {
-            config,
+        let history = SlidingQuery {
+            start: 0,
+            end: initial.len(),
             window,
             step,
             threshold,
-            n_series: n,
-            tail,
-            tail_start,
-            total_cols,
-            store,
-            pair_range,
-            pairs,
-            deps,
-            pivot_pairs,
-            pivots: None,
+        };
+        let state = PairState::build(&initial, &history, pair_range, &config, Purpose::Session)?;
+        Ok(Self {
+            config,
+            threshold,
+            state,
             stats: PruningStats::default(),
             last_drain_stats: PruningStats::default(),
             emitted_windows: 0,
-        };
-        if let Some(chosen) = chosen {
-            session.pivots = Some(PivotSet::empty(chosen, n));
-            session.extend_pivots();
-        }
-        Ok(session)
+        })
     }
 
     /// The contiguous pair-rank interval this session walks.
     pub fn pair_range(&self) -> Range<usize> {
-        self.pair_range.clone()
+        self.state.ranks.clone()
     }
 
     /// Number of windows fully contained in the current history.
     pub fn available_windows(&self) -> usize {
-        let covered = self.store.layout().end();
-        if covered < self.window {
-            0
-        } else {
-            (covered - self.window) / self.step + 1
-        }
+        (self.state.geometry(self.state.window, self.state.step, 0)).n_windows
     }
 
     /// Raw columns currently buffered — only the (partial basic window)
     /// tail the sketches have not absorbed yet, so this stays below
     /// `basic_window` no matter how much data has streamed through.
     pub fn history_len(&self) -> usize {
-        self.tail.as_ref().map_or(0, |t| t.len())
+        self.state.tail_len()
     }
 
     /// Total columns ingested since the session opened (the length of the
     /// equivalent batch history, including any evicted raw columns).
     pub fn ingested_cols(&self) -> usize {
-        self.total_cols
+        self.state.ingested()
     }
 
     /// Windows already emitted.
@@ -321,102 +171,11 @@ impl StreamingDangoron {
     /// Ingests new columns and returns every window that became complete,
     /// in order. Sketches and the pivot table are extended incrementally
     /// (only the new columns are read); the walk runs only over the new
-    /// windows.
+    /// windows. Columns holding a NaN or infinite sample are refused
+    /// whole, before any state changes.
     pub fn append(&mut self, new_cols: &TimeSeriesMatrix) -> Result<Vec<CompletedWindow>, TsError> {
-        if new_cols.n_series() != self.n_series {
-            return Err(TsError::DimensionMismatch {
-                expected: self.n_series,
-                found: new_cols.n_series(),
-            });
-        }
-        match &mut self.tail {
-            Some(t) => t.append_columns(new_cols)?,
-            None => self.tail = Some(new_cols.clone()),
-        }
-        self.total_cols += new_cols.len();
-        let tail = self.tail.as_ref().expect("tail was just filled");
-        self.store.append_tail(tail, self.tail_start)?;
-        let layout = *self.store.layout();
-        let n = self.n_series;
-        // Every pair ingests the same Δ columns — uniform cost — so static
-        // per-worker slices are the right schedule here (no stealing
-        // overhead). The preconditions of `PairSketch::append_tail` hold
-        // by construction once `store.append_tail` succeeded: all rows
-        // share the grown length and the layout only ever grows.
-        let base = self.pair_range.start;
-        exec::par_chunks_mut(&mut self.pairs, self.config.threads, |offset, piece| {
-            for (k, pair) in piece.iter_mut().enumerate() {
-                let (i, j) = triangular::unrank(base + offset + k, n);
-                pair.append_tail(&layout, tail.row(i), tail.row(j), self.tail_start)
-                    .expect("pair/store layouts kept in lockstep");
-            }
-        });
-        // Out-of-shard pivot pairs grow by the same columns.
-        exec::par_chunks_mut(&mut self.pivot_pairs, self.config.threads, |_, piece| {
-            for (rank, sketch) in piece.iter_mut() {
-                let (i, j) = triangular::unrank(*rank, n);
-                sketch
-                    .append_tail(&layout, tail.row(i), tail.row(j), self.tail_start)
-                    .expect("pivot-pair/store layouts kept in lockstep");
-            }
-        });
-        // Jump mode: extend the Eq. 2 cost prefixes over the new basic
-        // windows only (an extended prefix is bit-identical to a fresh
-        // build, so drains keep matching the batch engine).
-        let (store, pairs) = (&self.store, &self.pairs);
-        exec::par_chunks_mut(&mut self.deps, self.config.threads, |offset, piece| {
-            for (k, costs) in piece.iter_mut().enumerate() {
-                let (i, j) = triangular::unrank(base + offset + k, n);
-                extend_pair_costs(costs, store, &pairs[offset + k], i, j);
-            }
-        });
-        self.extend_pivots();
-        self.evict_absorbed();
+        self.state.extend(new_cols, self.config.threads)?;
         self.drain_completed()
-    }
-
-    /// Grows the pivot table to cover every currently available window,
-    /// reading correlations straight from the session's own sketches.
-    fn extend_pivots(&mut self) {
-        let total = self.available_windows();
-        let (ns, step_bw) = (
-            self.window / self.config.basic_window,
-            self.step / self.config.basic_window,
-        );
-        let (pairs, pivot_pairs, store, n) =
-            (&self.pairs, &self.pivot_pairs, &self.store, self.n_series);
-        let range = &self.pair_range;
-        if let Some(pv) = &mut self.pivots {
-            pv.append_windows(total, ns, step_bw, |z, s, b0, b1| {
-                let rank = triangular::rank(z.min(s), z.max(s), n);
-                let p = if range.contains(&rank) {
-                    &pairs[rank - range.start]
-                } else {
-                    let k = pivot_pairs
-                        .binary_search_by_key(&rank, |(r, _)| *r)
-                        .expect("out-of-shard pivot pairs are all materialised");
-                    &pivot_pairs[k].1
-                };
-                combine::window_correlation(store, p, z, s, b0, b1).unwrap_or(f64::NAN)
-            });
-        }
-    }
-
-    /// Drops raw columns the sketch prefixes have absorbed; global column
-    /// indices stay stable because the layout keeps its origin.
-    fn evict_absorbed(&mut self) {
-        let covered = self.store.layout().end();
-        if covered <= self.tail_start {
-            return;
-        }
-        self.tail = match self.tail.take() {
-            Some(t) if covered < self.tail_start + t.len() => Some(
-                t.slice_columns(covered - self.tail_start, t.len())
-                    .expect("non-empty remainder"),
-            ),
-            _ => None,
-        };
-        self.tail_start = covered.min(self.total_cols);
     }
 
     /// Emits any already-complete windows that have not been emitted yet
@@ -428,64 +187,11 @@ impl StreamingDangoron {
         }
         let _timer = obs::stages::span(obs::stages::Stage::Drain);
         let first_new = self.emitted_windows;
-        let n = self.n_series;
-        let b = self.config.basic_window;
-        let ns = self.window / b;
-        let step_bw = self.step / b;
-        let n_new = total - first_new;
-
-        // Walk only the new suffix with the shared batch walker: a
-        // geometry whose local window 0 sits at global window `first_new`.
-        let geo = WalkGeometry {
-            n_windows: n_new,
-            ns,
-            step_bw,
-            offset_bw: first_new * step_bw,
-        };
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-        let beta = self.threshold;
-        let rule = self.config.edge_rule;
-        let pivots = self.pivots.as_ref();
-
-        // Same driver as the batch engine: one edge buffer per stolen
-        // chunk of pair ranks, joined in rank order and scattered into the
-        // per-window matrices without a sort.
-        let result = walk_ranks(
-            self.pair_range.clone(),
-            n,
-            self.config.threads,
-            n_new,
-            beta,
-            rule,
-            |i, j, buf, stats| {
-                // Pair-level wholesale prefilter: when no new window of
-                // this pair can produce an edge, skip its walk entirely.
-                if let Some(pv) = pivots {
-                    if pv.pair_never_edges_in(i, j, beta, rule, first_new, total) {
-                        stats.n_pairs += 1;
-                        stats.total_cells += n_new as u64;
-                        stats.pairs_skipped_entirely += 1;
-                        return;
-                    }
-                }
-                let p = triangular::rank(i, j, n) - self.pair_range.start;
-                let dep = need_dep.then(|| &self.deps[p]);
-                walk_pair(
-                    &self.store,
-                    &self.pairs[p],
-                    i,
-                    j,
-                    geo,
-                    beta,
-                    rule,
-                    self.config.bound,
-                    dep,
-                    pivots,
-                    stats,
-                    |w, v| buf.push(tagged(w, i, j, v)),
-                );
-            },
-        );
+        // The batch walk over the new suffix only: a geometry whose local
+        // window 0 sits at global window `first_new`.
+        let state = &self.state;
+        let geo = state.geometry(state.window, state.step, first_new);
+        let result = state.walk(&self.config, geo, self.threshold, state.ranks.clone());
         // Keep both the per-drain view and the session-cumulative one.
         self.stats.merge(&result.stats);
         self.last_drain_stats = result.stats;
@@ -507,21 +213,21 @@ impl StreamingDangoron {
     pub fn batch_query(&self) -> SlidingQuery {
         SlidingQuery {
             start: 0,
-            end: self.store.layout().end(),
-            window: self.window,
-            step: self.step,
+            end: self.state.store.layout().end(),
+            window: self.state.window,
+            step: self.state.step,
             threshold: self.threshold,
         }
     }
 
     /// The window length this session drains with.
     pub fn window(&self) -> usize {
-        self.window
+        self.state.window
     }
 
     /// The step this session drains with.
     pub fn step(&self) -> usize {
-        self.step
+        self.state.step
     }
 
     /// The threshold `β` this session drains with.
@@ -531,7 +237,7 @@ impl StreamingDangoron {
 
     /// Number of series in the session's matrix.
     pub fn n_series(&self) -> usize {
-        self.n_series
+        self.state.store.n_series()
     }
 
     /// The engine configuration the session was opened with.
@@ -544,19 +250,7 @@ impl StreamingDangoron {
     /// is what a serving tier accounts against its memory budget — it is
     /// the part of the session that grows with the stream.
     pub fn memory_bytes(&self) -> usize {
-        let pairs: usize = self.pairs.iter().map(PairSketch::memory_bytes).sum();
-        let pivot_pairs: usize = self
-            .pivot_pairs
-            .iter()
-            .map(|(_, p)| p.memory_bytes() + std::mem::size_of::<usize>())
-            .sum();
-        let deps: usize = self.deps.iter().map(PairCosts::memory_bytes).sum();
-        let pivots = self.pivots.as_ref().map_or(0, PivotSet::memory_bytes);
-        let tail = self
-            .tail
-            .as_ref()
-            .map_or(0, |t| t.n_series() * t.len() * std::mem::size_of::<f64>());
-        self.store.memory_bytes() + pairs + pivot_pairs + deps + pivots + tail
+        self.state.memory_bytes()
     }
 
     /// Answers an **ad-hoc** `(window, step, threshold)` query from the
@@ -565,19 +259,19 @@ impl StreamingDangoron {
     /// Sketch prefixes are query-independent, so a resident session can
     /// answer any aligned query without touching the raw history or
     /// re-paying the prepare phase: this walks the full current history
-    /// with the same pruned pair walker the batch engine uses, and the
-    /// result is bit-identical to a fresh [`crate::Dangoron`] run over
-    /// the equivalent prefix — with the session's own config when
+    /// with the same pruned walk the batch engine uses, and the result is
+    /// bit-identical to a fresh [`crate::Dangoron`] run over the
+    /// equivalent prefix — with the session's own config when
     /// `(window, step)` is the session's geometry, and with that config
     /// minus `horizontal` otherwise (see the pivot bullet below). Under
-    /// [`BoundMode::Exhaustive`] the two configs agree bit for bit, since
-    /// the triangle bound only settles cells that hold no edge; under
-    /// [`BoundMode::PaperJump`] pivots steer the jump path and can change
-    /// the edge set.
+    /// [`crate::BoundMode::Exhaustive`] the two configs agree bit for bit,
+    /// since the triangle bound only settles cells that hold no edge;
+    /// under [`crate::BoundMode::PaperJump`] pivots steer the jump path
+    /// and can change the edge set.
     ///
     /// What is reused from the resident state:
     ///
-    /// * the [`SketchStore`] and every pair sketch — always;
+    /// * the [`sketch::SketchStore`] and every pair sketch — always;
     /// * the Eq. 2 departure-cost prefixes — always in jump mode (they
     ///   depend only on the sketches and the edge rule, not the query
     ///   geometry);
@@ -593,102 +287,24 @@ impl StreamingDangoron {
         window: usize,
         step: usize,
         threshold: f64,
-    ) -> Result<crate::engine::QueryResult, TsError> {
-        let b = self.config.basic_window;
-        if window < 2 || !window.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "query window {window} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if step == 0 || !step.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "query step {step} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(TsError::InvalidParameter(format!(
-                "threshold must be in [-1, 1], got {threshold}"
-            )));
-        }
-        let rule = self.config.edge_rule;
-        if rule == sketch::output::EdgeRule::Absolute && threshold < 0.0 {
-            return Err(TsError::InvalidParameter(format!(
-                "absolute edge rule needs a non-negative threshold, got {threshold}"
-            )));
-        }
-        let n = self.n_series;
-        if self.pair_range != (0..triangular::count(n)) {
+    ) -> Result<QueryResult, TsError> {
+        check_geometry(&self.config, window, step, threshold)?;
+        let ranks = self.state.ranks.clone();
+        if ranks != (0..triangular::count(self.n_series())) {
             return Err(TsError::InvalidParameter(format!(
                 "shared queries need the full pair triangle; this session holds ranks {}..{}",
-                self.pair_range.start, self.pair_range.end
+                ranks.start, ranks.end
             )));
         }
-        let covered = self.store.layout().end();
-        let n_windows = if covered < window {
-            0
-        } else {
-            (covered - window) / step + 1
-        };
-        let ns = window / b;
-        let step_bw = step / b;
-        let geo = WalkGeometry {
-            n_windows,
-            ns,
-            step_bw,
-            offset_bw: 0,
-        };
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-        // The pivot table's intervals are keyed by the *session's* window
-        // geometry; reuse it only when the query matches. Other
-        // geometries walk without pivots: identical edges under
-        // Exhaustive, the `horizontal: None` answer under PaperJump.
-        let pivots = if window == self.window && step == self.step {
-            self.pivots.as_ref()
-        } else {
-            None
-        };
-
-        Ok(walk_ranks(
-            self.pair_range.clone(),
-            n,
-            self.config.threads,
-            n_windows,
-            threshold,
-            rule,
-            |i, j, buf, stats| {
-                if let Some(pv) = pivots {
-                    if pv.pair_never_edges_in(i, j, threshold, rule, 0, n_windows) {
-                        stats.n_pairs += 1;
-                        stats.total_cells += n_windows as u64;
-                        stats.pairs_skipped_entirely += 1;
-                        return;
-                    }
-                }
-                let p = triangular::rank(i, j, n);
-                let dep = need_dep.then(|| &self.deps[p]);
-                walk_pair(
-                    &self.store,
-                    &self.pairs[p],
-                    i,
-                    j,
-                    geo,
-                    threshold,
-                    rule,
-                    self.config.bound,
-                    dep,
-                    pivots,
-                    stats,
-                    |w, v| buf.push(tagged(w, i, j, v)),
-                );
-            },
-        ))
+        let geo = self.state.geometry(window, step, 0);
+        Ok(self.state.walk(&self.config, geo, threshold, ranks))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HorizontalConfig, PivotStrategy};
+    use crate::config::{BoundMode, HorizontalConfig, PivotStrategy};
     use crate::engine::Dangoron;
     use tsdata::generators;
 
@@ -1207,5 +823,75 @@ mod tests {
         // Too little initial data.
         let tiny = x.slice_columns(0, 5).unwrap();
         assert!(StreamingDangoron::new(tiny, 80, 20, 0.5, config(BoundMode::Exhaustive)).is_err());
+        // `|c| ≥ β` with a negative β would make every cell an edge.
+        let absolute = DangoronConfig {
+            edge_rule: sketch::output::EdgeRule::Absolute,
+            ..config(BoundMode::Exhaustive)
+        };
+        assert!(StreamingDangoron::new(x.clone(), 80, 20, -0.5, absolute).is_err());
+    }
+
+    #[test]
+    fn non_finite_samples_are_refused_at_open_and_append() {
+        let full = generators::clustered_matrix(8, 400, 2, 0.5, 3).unwrap();
+        let cfg = config_with_pivots(BoundMode::Exhaustive, 2);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // At open, in the absorbed history and in the raw tail alike.
+            for col in [40, 147] {
+                let mut initial = full.slice_columns(0, 150).unwrap();
+                initial.set(3, col, bad);
+                let err = StreamingDangoron::new(initial, 80, 20, 0.7, cfg.clone()).err();
+                assert_eq!(
+                    err,
+                    Some(TsError::NonFinite {
+                        series: 3,
+                        column: col
+                    }),
+                    "{bad} at open"
+                );
+            }
+
+            // At append: refused whole, columns numbered in the session's
+            // frame, and the session carries on as if it never came.
+            let mut session = StreamingDangoron::new(
+                full.slice_columns(0, 150).unwrap(),
+                80,
+                20,
+                0.7,
+                cfg.clone(),
+            )
+            .unwrap();
+            let mut collected = session.drain_completed().unwrap();
+            collected.extend(
+                session
+                    .append(&full.slice_columns(150, 213).unwrap())
+                    .unwrap(),
+            );
+            let (before, history) = (session.memory_bytes(), session.history_len());
+            let mut poisoned = full.slice_columns(213, 300).unwrap();
+            poisoned.set(5, 60, bad);
+            assert_eq!(
+                session.append(&poisoned).err(),
+                Some(TsError::NonFinite {
+                    series: 5,
+                    column: 273
+                }),
+                "{bad} at append"
+            );
+            assert_eq!(session.ingested_cols(), 213);
+            assert_eq!(session.history_len(), history);
+            assert_eq!(session.memory_bytes(), before);
+            collected.extend(
+                session
+                    .append(&full.slice_columns(213, 400).unwrap())
+                    .unwrap(),
+            );
+            let batch = Dangoron::new(cfg.clone())
+                .unwrap()
+                .execute(&full, session.batch_query())
+                .unwrap();
+            assert_eq!(collected.len(), batch.matrices.len());
+            assert_same_windows(&collected, &batch.matrices);
+        }
     }
 }

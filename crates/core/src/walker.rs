@@ -57,14 +57,9 @@ impl WalkGeometry {
     }
 }
 
-/// Builds the Eq. 2 departure-cost prefix for a pair over the whole layout.
-pub fn departure_cost(store: &SketchStore, pair: &PairSketch, i: usize, j: usize) -> DepartureCost {
-    let nb = store.layout().count;
-    DepartureCost::from_correlations((0..nb).map(|b| pair.basic_correlation(store, i, j, b)))
-}
-
-/// Builds the full [`PairCosts`] for a pair: always the upper-bound
-/// prefix, plus the lower-bound prefix when the edge rule needs it.
+/// Builds the Eq. 2 departure-cost prefixes of a pair over the whole
+/// layout: always the upper-bound prefix, plus the lower-bound prefix when
+/// the edge rule needs it.
 pub fn pair_costs(
     store: &SketchStore,
     pair: &PairSketch,
@@ -72,14 +67,11 @@ pub fn pair_costs(
     j: usize,
     rule: EdgeRule,
 ) -> PairCosts {
-    let nb = store.layout().count;
-    let upper = departure_cost(store, pair, i, j);
-    let lower = (rule == EdgeRule::Absolute).then(|| {
-        DepartureCost::from_correlations_lower(
-            (0..nb).map(|b| pair.basic_correlation(store, i, j, b)),
-        )
-    });
-    PairCosts { upper, lower }
+    let cs = || (0..store.layout().count).map(|b| pair.basic_correlation(store, i, j, b));
+    PairCosts {
+        upper: DepartureCost::from_correlations(cs()),
+        lower: (rule == EdgeRule::Absolute).then(|| DepartureCost::from_correlations_lower(cs())),
+    }
 }
 
 /// Extends stored [`PairCosts`] to cover the store's current basic-window
@@ -93,14 +85,10 @@ pub fn extend_pair_costs(
     j: usize,
 ) {
     let from = costs.upper.n_basic();
-    let nb = store.layout().count;
-    costs
-        .upper
-        .extend_from_correlations((from..nb).map(|b| pair.basic_correlation(store, i, j, b)));
+    let cs = || (from..store.layout().count).map(|b| pair.basic_correlation(store, i, j, b));
+    costs.upper.extend_from_correlations(cs());
     if let Some(lower) = &mut costs.lower {
-        lower.extend_from_correlations_lower(
-            (from..nb).map(|b| pair.basic_correlation(store, i, j, b)),
-        );
+        lower.extend_from_correlations_lower(cs());
     }
 }
 

@@ -585,6 +585,61 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_appends_are_refused_and_the_link_survives() {
+        let registry = Arc::new(Registry::new(None));
+        let addr = spawn_local(Arc::clone(&registry), None).unwrap();
+        let mut client = ServeClient::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
+        let full = generators::clustered_matrix(6, 200, 2, 0.5, 33).unwrap();
+        client
+            .open(
+                "t",
+                &full.slice_columns(0, 80).unwrap(),
+                60,
+                20,
+                0.7,
+                &cfg(),
+            )
+            .unwrap();
+        let mut poisoned = full.slice_columns(80, 140).unwrap();
+        poisoned.set(4, 7, f64::NAN);
+        let refused = client.append("t", &poisoned).unwrap_err().to_string();
+        assert!(refused.contains("NonFinite"), "{refused}");
+        assert!(
+            refused.contains("series: 4") && refused.contains("column: 87"),
+            "{refused}"
+        );
+
+        // Same link, same session: the refused frame changed nothing.
+        let ack = client
+            .append("t", &full.slice_columns(80, 200).unwrap())
+            .unwrap();
+        assert_eq!(ack.covered_cols, 200);
+        let reply = client.query("t", 60, 20, 0.7).unwrap();
+        let fresh = dangoron::Dangoron::new(cfg())
+            .unwrap()
+            .execute(
+                &full,
+                sketch::SlidingQuery {
+                    start: 0,
+                    end: 200,
+                    window: 60,
+                    step: 20,
+                    threshold: 0.7,
+                },
+            )
+            .unwrap();
+        let matrices = reply.matrices(6, 0.7, cfg().edge_rule);
+        assert_eq!(matrices.len(), fresh.matrices.len());
+        for (a, b) in matrices.iter().zip(&fresh.matrices) {
+            assert_eq!(a.n_edges(), b.n_edges());
+            for (ea, eb) in a.edges().iter().zip(b.edges()) {
+                assert_eq!((ea.i, ea.j), (eb.i, eb.j));
+                assert_eq!(ea.value.to_bits(), eb.value.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn ping_round_trips_are_not_held_back_by_the_link() {
         // A Ping touches no session, so its round trip is the link alone.
         // A frame split across two writes on a Nagle socket stalls each

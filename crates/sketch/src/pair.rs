@@ -245,7 +245,8 @@ pub fn build_all(
 /// Each sketch is produced by the same per-pair kernel reduction as
 /// [`PairSketch::build`] (which [`build_all`] also uses per entry), so the
 /// returned slice is bit-identical to the corresponding sub-slice of a
-/// [`build_all`] result for any thread count.
+/// [`build_all`] result for any thread count. The full triangle is handed
+/// to [`build_all`]'s cache-blocked tiling.
 pub fn build_range(
     layout: &BasicWindowLayout,
     x: &TimeSeriesMatrix,
@@ -265,6 +266,9 @@ pub fn build_range(
             requested: ranks.end,
             available: n_pairs,
         });
+    }
+    if ranks == (0..n_pairs) {
+        return build_all(layout, x, threads);
     }
     Ok(exec::par_collect_chunks(ranks.len(), threads, 8, |chunk| {
         chunk

@@ -40,6 +40,14 @@ pub enum TsError {
     },
     /// An invalid parameter was supplied (window of size 0, step of 0, ...).
     InvalidParameter(String),
+    /// A sample was NaN or infinite where the engine needs finite data
+    /// (a non-finite sample poisons every sketch prefix after it).
+    NonFinite {
+        /// Row of the offending sample.
+        series: usize,
+        /// Column of the offending sample, in the caller's column frame.
+        column: usize,
+    },
 }
 
 impl fmt::Display for TsError {
@@ -65,6 +73,9 @@ impl fmt::Display for TsError {
                 "out of range: requested {requested}, available {available}"
             ),
             TsError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            TsError::NonFinite { series, column } => {
+                write!(f, "non-finite sample in series {series} at column {column}")
+            }
         }
     }
 }
@@ -96,6 +107,13 @@ mod tests {
         };
         assert!(e.to_string().contains("10"));
         assert!(e.to_string().contains("5"));
+
+        let e = TsError::NonFinite {
+            series: 2,
+            column: 50,
+        };
+        assert!(e.to_string().contains("series 2"));
+        assert!(e.to_string().contains("column 50"));
     }
 
     #[test]

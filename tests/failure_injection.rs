@@ -1,6 +1,7 @@
 //! Failure injection: malformed or hostile data must never panic an
 //! engine or fabricate edges — the contract is "undefined correlation ⇒
-//! no edge", plus an explicit repair path for dirty inputs.
+//! no edge", plus an explicit repair path for dirty inputs. Dangoron
+//! refuses non-finite samples at ingest with a structured error.
 
 use baselines::naive::Naive;
 use baselines::parcorr::ParCorr;
@@ -10,7 +11,7 @@ use baselines::SlidingEngine;
 use dangoron::{Dangoron, DangoronConfig};
 use sketch::SlidingQuery;
 use tsdata::sync::repair_non_finite;
-use tsdata::{generators, TimeSeriesMatrix};
+use tsdata::{generators, TimeSeriesMatrix, TsError};
 
 fn query() -> SlidingQuery {
     SlidingQuery {
@@ -80,7 +81,10 @@ fn nan_poisoned_series_produce_no_edges_and_no_panics() {
         );
     }
 
-    // Dangoron, both modes.
+    // Dangoron, both modes: a non-finite sample would poison every sketch
+    // prefix after it, so the engine refuses the matrix at ingest, naming
+    // the first such sample, instead of answering from poisoned sketches.
+    // `repair_then_query_recovers_poisoned_data` is the path that answers.
     for bound in [
         dangoron::BoundMode::Exhaustive,
         dangoron::BoundMode::PaperJump { slack: 0.0 },
@@ -91,13 +95,13 @@ fn nan_poisoned_series_produce_no_edges_and_no_panics() {
             ..Default::default()
         })
         .unwrap();
-        let res = engine.execute(&x, query()).unwrap();
-        for m in &res.matrices {
-            for e in m.edges() {
-                assert!(e.value.is_finite());
-            }
-        }
-        assert!(res.matrices.iter().all(|m| m.contains(2, 3)));
+        assert_eq!(
+            engine.execute(&x, query()).err(),
+            Some(TsError::NonFinite {
+                series: 1,
+                column: 50
+            })
+        );
     }
 }
 

@@ -372,6 +372,70 @@ fn shared_queries_are_thread_count_invariant() {
 }
 
 #[test]
+fn batch_session_drain_and_shared_query_are_one_answer() {
+    // One engine core: a one-shot `execute`, a session opened on the same
+    // columns and drained once, and `query_shared` on the session
+    // geometry build the same state and walk it once, so they agree bit
+    // for bit — edges, values and every pruning counter — under both
+    // bound modes and edge rules, with pivots on and off, at every
+    // thread count.
+    use dangoron::config::HorizontalConfig;
+    use dangoron::PivotStrategy;
+    let x = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
+    let (window, step, beta) = (80, 20, 0.9);
+    let query = SlidingQuery {
+        start: 0,
+        end: 400,
+        window,
+        step,
+        threshold: beta,
+    };
+    for bound in [BoundMode::Exhaustive, BoundMode::PaperJump { slack: 0.0 }] {
+        for horizontal in [
+            None,
+            Some(HorizontalConfig {
+                n_pivots: 2,
+                strategy: PivotStrategy::Evenly,
+            }),
+        ] {
+            for edge_rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+                for &threads in &THREAD_COUNTS {
+                    let config = DangoronConfig {
+                        basic_window: 20,
+                        bound,
+                        horizontal: horizontal.clone(),
+                        threads,
+                        edge_rule,
+                        ..Default::default()
+                    };
+                    let ctx = format!(
+                        "{bound:?} pivots={} {edge_rule:?} threads={threads}",
+                        horizontal.is_some()
+                    );
+                    let batch = Dangoron::new(config.clone())
+                        .unwrap()
+                        .execute(&x, query)
+                        .unwrap();
+                    assert!(batch.total_edges() > 0, "{ctx}: no edges");
+
+                    let mut session =
+                        StreamingDangoron::new(x.clone(), window, step, beta, config).unwrap();
+                    let drained = session.drain_completed().unwrap();
+                    let drained = QueryResult {
+                        matrices: drained.into_iter().map(|cw| cw.matrix).collect(),
+                        stats: session.last_drain_stats().clone(),
+                    };
+                    assert_same_result(&batch, &drained, &format!("{ctx}: drain"));
+
+                    let shared = session.query_shared(window, step, beta).unwrap();
+                    assert_same_result(&batch, &shared, &format!("{ctx}: shared query"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn tsubasa_baseline_is_thread_count_invariant() {
     use baselines::tsubasa::Tsubasa;
     let x = generators::clustered_matrix(12, 300, 3, 0.6, 5).unwrap();
